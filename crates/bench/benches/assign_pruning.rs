@@ -3,7 +3,7 @@
 //!
 //! Two passes over the *same* centroid trajectory (the engine's bitwise
 //! contract makes them identical by construction — asserted here):
-//! one with pruning off, one with the auto-selected bound structure.
+//! one with pruning off, one with pruning on.
 //! Only post-warmup iterations count (`WARMUP` = 2): the paper-relevant
 //! regime is the long tail of near-converged iterations where drift is
 //! small and bounds certify almost every point.
@@ -103,7 +103,7 @@ fn run_leg(leg: &str, n: usize, m: usize, k: usize, seed: u64) -> LegResult {
     // passes; KMeans++ would draw RNG and is irrelevant to the loop.
     let init = Matrix::from_fn(k, m, |c, j| ds.data.get(c * (n / k), j));
     let (t_off, _, labels_off, bits_off) = run_pass(&ds.data, &init, PruneMode::Off);
-    let (t_on, stats, labels_on, bits_on) = run_pass(&ds.data, &init, PruneMode::Auto);
+    let (t_on, stats, labels_on, bits_on) = run_pass(&ds.data, &init, PruneMode::On);
     assert_eq!(labels_off, labels_on, "{leg}: pruning changed labels");
     assert_eq!(bits_off, bits_on, "{leg}: pruning changed distance bits");
     let dists_exhaustive = (n as u64) * (k as u64) * (MEASURED as u64);
@@ -128,11 +128,11 @@ fn main() {
         "leg", "n", "m", "k", "dists(off)", "dists(on)", "dist-redux", "wall-x"
     );
     let legs = [
-        // Auto resolves to Elkan here (k <= 96, k^2 <= n, k <= 4m).
-        run_leg("elkan_k64", kr_bench::scaled(6000, 1200), 32, 64, 70),
-        // Auto resolves to Hamerly (k > 96) — the fig8 kM(h1h2) shape.
+        // Small k, large n: the batch_fit shape.
+        run_leg("hamerly_k64", kr_bench::scaled(6000, 1200), 32, 64, 70),
+        // The fig8 kM(h1h2) shape.
         run_leg("hamerly_k100", kr_bench::scaled(8000, 1600), 20, 100, 71),
-        // Larger k, still Hamerly: the memory-lean mode must scale.
+        // Larger k: the O(n) bound state must scale.
         run_leg("hamerly_k128", kr_bench::scaled(8000, 1600), 20, 128, 72),
     ];
     let mut records = Vec::new();
@@ -194,7 +194,7 @@ fn main() {
         (model, t0.elapsed().as_secs_f64())
     };
     let (off, t_off) = fit(PruneMode::Off);
-    let (on, t_on) = fit(PruneMode::Auto);
+    let (on, t_on) = fit(PruneMode::On);
     assert_eq!(off.labels, on.labels, "full-fit labels must not change");
     assert_eq!(off.inertia.to_bits(), on.inertia.to_bits());
     println!(

@@ -169,7 +169,7 @@ fn main() {
         let k = h * h;
         let ds = kr_datasets::synthetic::blobs(kr_bench::scaled(2000, 700), 20, 100, 1.0, 72);
         let exec_off = ExecCtx::serial().with_prune_mode(kr_linalg::PruneMode::Off);
-        let exec_on = ExecCtx::serial().with_prune_mode(kr_linalg::PruneMode::Auto);
+        let exec_on = ExecCtx::serial().with_prune_mode(kr_linalg::PruneMode::On);
         let km_fit = |exec: ExecCtx| {
             measure(|| {
                 KMeans::new(k)

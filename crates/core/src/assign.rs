@@ -2,7 +2,7 @@
 //! Lloyd-style fitter in the workspace routes through.
 //!
 //! The engine eliminates most exact distance evaluations with
-//! Elkan/Hamerly-style triangle-inequality bounds while keeping the
+//! Hamerly-style triangle-inequality bounds while keeping the
 //! repo's signature contract: **pruned assignment is bitwise identical
 //! to the exhaustive scan** — labels, per-point distances, and therefore
 //! centroids, inertia, and `SuffStats` downstream — at any worker count
@@ -30,24 +30,21 @@
 //! `kernel_error_bound`) plus relative slack on every square root and
 //! bound decay, so a bound can under-prune but never mis-prune.
 //!
-//! ## Bound structures
+//! ## Bound structure
 //!
-//! * **Hamerly** (large `k`): one lower bound per point on the distance
-//!   to every non-assigned centroid, decayed each iteration by the
-//!   maximum centroid drift. Whole-point skips cost O(1).
-//! * **Elkan** (small `k`): per-(point, centroid) lower bounds decayed
-//!   by per-centroid drift, plus a `k x k` lower-bound matrix on
-//!   center–center distances rebuilt each iteration. For Khatri-Rao
-//!   grids with the sum aggregator the matrix is rebuilt from
-//!   per-factor Gram blocks in O((Σh)²·m + k²·p²) instead of O(k²·m).
+//! Dense and materialized-grid assignment keep one lower bound per
+//! point on the distance to every non-assigned centroid (Hamerly),
+//! decayed each iteration by the maximum centroid drift. Whole-point
+//! skips cost O(1), and the bound state is O(n) whatever `k` is.
+//! Per-(point, centroid) bounds (Elkan) evaluate fewer distances, but
+//! their O(n·k) upkeep cost more than those evaluations saved at every
+//! shape measured, so they are not kept.
 //!
-//! The deterministic mode heuristic (`Auto`, a pure function of
-//! `(n, k, m)`) picks Elkan iff `k ≤ 96 && k² ≤ n && k ≤ 4m`; it is
-//! overridable per context via [`kr_linalg::PruneMode`] / `KR_PRUNE`.
-//! Memory-efficient (on-the-fly) Khatri-Rao assignment always uses the
-//! single-bound structure plus a per-candidate norm gate
-//! `d(x, c) ≥ |‖x‖ − ‖c‖|`, with per-factor drift combined per the
-//! aggregator.
+//! Memory-efficient (on-the-fly) Khatri-Rao assignment uses the same
+//! single bound plus a per-candidate norm gate `d(x, c) ≥ |‖x‖ − ‖c‖|`,
+//! with per-factor drift combined per the aggregator. Pruning is on
+//! unless the context's [`kr_linalg::PruneMode`] (default from
+//! `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
 //!
 //! All bound state lives in the [`kr_linalg::Scratch`] arena of the
 //! engine's `ExecCtx`, so steady-state Lloyd iterations stay O(1)
@@ -250,26 +247,6 @@ fn norm_upper(sq: f64, m: usize) -> f64 {
     (v * (1.0 + g)).sqrt() * (1.0 + REL_SLACK)
 }
 
-/// Which bound structure a session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BoundMode {
-    Hamerly,
-    Elkan,
-}
-
-/// The deterministic `Auto` heuristic: a pure function of `(n, k, m)` so
-/// every context, worker count, and run agrees. Elkan's n×k bound rows
-/// and k² matrix only pay off when k is small in absolute terms,
-/// relative to n (matrix rebuild cost), and relative to m (memory next
-/// to the data itself).
-fn auto_mode(n: usize, k: usize, m: usize) -> BoundMode {
-    if k <= 96 && k * k <= n && k <= 4 * m {
-        BoundMode::Elkan
-    } else {
-        BoundMode::Hamerly
-    }
-}
-
 /// What kind of candidate set the current session's state describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SessionKind {
@@ -300,17 +277,15 @@ const OTF_STRIDE: usize = 8; // [best, label, runner, pruned_lb, lower, d_prev, 
 /// [`AssignEngine::begin_fit`] once per dataset, then
 /// [`AssignEngine::begin_restart`] at each restart, then one of the
 /// `assign_*` entry points per Lloyd iteration. Results are bitwise
-/// identical to the exhaustive scans in every mode; see the module docs
-/// for the argument.
+/// identical to the exhaustive scans with pruning on or off; see the
+/// module docs for the argument.
 #[derive(Debug)]
 pub struct AssignEngine {
     exec: ExecCtx,
     n: usize,
     m: usize,
     k: usize,
-    stride: usize,
     session: SessionKind,
-    mode: BoundMode,
     /// Bounds in `state` describe the snapshot in `prev`/`prev_sets`.
     ready: bool,
     max_x_sq: f64,
@@ -321,8 +296,6 @@ pub struct AssignEngine {
     x_hi: Vec<f64>,
     state: Vec<f64>,
     prev: Vec<f64>,
-    drift: Vec<f64>,
-    cc: Vec<f64>,
     prev_sets: Vec<Vec<f64>>,
     prev_sets_dims: Vec<(usize, usize)>,
     stats: SharedStats,
@@ -337,9 +310,7 @@ impl AssignEngine {
             n: 0,
             m: 0,
             k: 0,
-            stride: 0,
             session: SessionKind::None,
-            mode: BoundMode::Hamerly,
             ready: false,
             max_x_sq: 0.0,
             max_c_sq: 0.0,
@@ -348,8 +319,6 @@ impl AssignEngine {
             x_hi: Vec::new(),
             state: Vec::new(),
             prev: Vec::new(),
-            drift: Vec::new(),
-            cc: Vec::new(),
             prev_sets: Vec::new(),
             prev_sets_dims: Vec::new(),
             stats: SharedStats::default(),
@@ -405,18 +374,10 @@ impl AssignEngine {
         s
     }
 
-    fn resolved_mode(&self, k: usize) -> Option<BoundMode> {
-        match self.exec.prune_mode() {
-            PruneMode::Off => None,
-            PruneMode::Hamerly => Some(BoundMode::Hamerly),
-            PruneMode::Elkan => Some(BoundMode::Elkan),
-            PruneMode::Auto => Some(auto_mode(self.n, k, self.m)),
-        }
-    }
-
     /// Nearest-centroid assignment against a dense centroid matrix —
-    /// the `KMeans` / `WeightedKMeans` hot path. Bitwise identical to
-    /// `exhaustive_dense` in every [`PruneMode`].
+    /// the `KMeans` / `WeightedKMeans` / time-efficient `KrKMeans` hot
+    /// path. Bitwise identical to `exhaustive_dense` in every
+    /// [`PruneMode`].
     pub fn assign_dense(
         &mut self,
         data: &Matrix,
@@ -424,45 +385,16 @@ impl AssignEngine {
         labels: &mut [usize],
         dmin: &mut [f64],
     ) {
-        self.assign_dense_impl(data, centroids, None, Aggregator::Sum, labels, dmin);
-    }
-
-    /// Assignment against a materialized Khatri-Rao grid (the
-    /// time-efficient `KrKMeans` variant). Identical results to
-    /// [`AssignEngine::assign_dense`]; with the sum aggregator and the
-    /// Elkan structure, the center–center rebuild runs factored over
-    /// `sets` instead of over grid rows.
-    pub fn assign_grid(
-        &mut self,
-        data: &Matrix,
-        grid: &Matrix,
-        sets: &[Matrix],
-        agg: Aggregator,
-        labels: &mut [usize],
-        dmin: &mut [f64],
-    ) {
-        self.assign_dense_impl(data, grid, Some(sets), agg, labels, dmin);
-    }
-
-    fn assign_dense_impl(
-        &mut self,
-        data: &Matrix,
-        centroids: &Matrix,
-        factors: Option<&[Matrix]>,
-        agg: Aggregator,
-        labels: &mut [usize],
-        dmin: &mut [f64],
-    ) {
         debug_assert_eq!(data.shape(), (self.n, self.m), "begin_fit saw other data");
         debug_assert_eq!(centroids.ncols(), self.m);
         let k = centroids.nrows();
         let _pass = kr_obs::span!("assign.pass", "k" => k);
-        let Some(mode) = self.resolved_mode(k) else {
+        if self.exec.prune_mode() == PruneMode::Off {
             exhaustive_dense(data, centroids, labels, dmin, &self.exec, Some(&self.stats));
             self.ready = false;
             return;
-        };
-        self.ensure_dense_session(k, mode);
+        }
+        self.ensure_dense_session(k);
         let scratch = self.exec.scratch().clone();
         let mut c_norms = scratch.take_f64_uninit(0);
         centroids.row_sq_norms_into(&mut c_norms);
@@ -473,120 +405,104 @@ impl AssignEngine {
             }
         }
         let err = kernel_error_bound(self.m, self.max_x_sq, max_c);
+        let m = self.m;
         if self.ready {
-            let m = self.m;
+            let mut delta_max = 0.0;
             for c in 0..k {
-                let s = ops::sqdist(&self.prev[c * m..(c + 1) * m], centroids.row(c));
-                self.drift[c] = drift_upper(s);
-            }
-            self.stats.add(0, 0, k as u64);
-            match mode {
-                BoundMode::Hamerly => self.hamerly_pass(data, centroids, &c_norms, err),
-                BoundMode::Elkan => {
-                    self.rebuild_cc(centroids, factors, agg);
-                    self.elkan_pass(data, centroids, &c_norms, err);
+                let d = drift_upper(ops::sqdist(
+                    &self.prev[c * m..(c + 1) * m],
+                    centroids.row(c),
+                ));
+                if d > delta_max {
+                    delta_max = d;
                 }
             }
+            self.stats.add(0, 0, k as u64);
+            self.hamerly_pass(data, centroids, &c_norms, err, delta_max);
         } else {
-            self.init_dense_pass(data, centroids, &c_norms, err, mode);
+            self.init_dense_pass(data, centroids, &c_norms, err);
             self.ready = true;
         }
         for c in 0..k {
-            let m = self.m;
             self.prev[c * m..(c + 1) * m].copy_from_slice(centroids.row(c));
         }
-        for (i, row) in self.state.chunks_exact(self.stride).enumerate() {
+        for (i, row) in self.state.chunks_exact(HAMERLY_STRIDE).enumerate() {
             labels[i] = row[0] as usize;
             dmin[i] = row[1];
         }
         scratch.put_f64(c_norms);
     }
 
-    fn ensure_dense_session(&mut self, k: usize, mode: BoundMode) {
-        let stride = match mode {
-            BoundMode::Hamerly => HAMERLY_STRIDE,
-            BoundMode::Elkan => 2 + k,
-        };
+    /// Assignment against a materialized Khatri-Rao grid (the
+    /// time-efficient `KrKMeans` variant). The grid is a dense centroid
+    /// matrix, so this is [`AssignEngine::assign_dense`]; `sets` and
+    /// `agg` are accepted for callers that hold them and are not read.
+    pub fn assign_grid(
+        &mut self,
+        data: &Matrix,
+        grid: &Matrix,
+        _sets: &[Matrix],
+        _agg: Aggregator,
+        labels: &mut [usize],
+        dmin: &mut [f64],
+    ) {
+        self.assign_dense(data, grid, labels, dmin);
+    }
+
+    fn ensure_dense_session(&mut self, k: usize) {
         if self.session == SessionKind::Dense
             && self.k == k
-            && self.mode == mode
-            && self.state.len() == self.n * stride
+            && self.state.len() == self.n * HAMERLY_STRIDE
         {
             return;
         }
         self.session = SessionKind::Dense;
         self.k = k;
-        self.mode = mode;
-        self.stride = stride;
         self.ready = false;
         let scratch = self.exec.scratch().clone();
-        resize_buf(&scratch, &mut self.state, self.n * stride);
+        resize_buf(&scratch, &mut self.state, self.n * HAMERLY_STRIDE);
         resize_buf(&scratch, &mut self.prev, k * self.m);
-        resize_buf(&scratch, &mut self.drift, k);
-        let cc_len = if mode == BoundMode::Elkan { k * k } else { 0 };
-        resize_buf(&scratch, &mut self.cc, cc_len);
     }
 
     /// First assignment of a session: full scans (identical to the
-    /// exhaustive path) that also seed the bounds.
-    fn init_dense_pass(
-        &mut self,
-        data: &Matrix,
-        centroids: &Matrix,
-        c_norms: &[f64],
-        err: f64,
-        mode: BoundMode,
-    ) {
-        let k = self.k;
-        let stride = self.stride;
-        let elkan = mode == BoundMode::Elkan;
+    /// exhaustive path) that also seed each point's lower bound.
+    fn init_dense_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
         let x_norms = &self.x_norms;
         let stats = &self.stats;
-        parallel::map_rows_into(&self.exec, &mut self.state, stride, 1, |start, chunk| {
-            let mut comp = 0u64;
-            for (off, row) in chunk.chunks_exact_mut(stride).enumerate() {
-                let i = start + off;
-                let x = data.row(i);
-                let xn = x_norms[i];
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                let mut runner = f64::INFINITY;
-                for (c, crow) in centroids.rows_iter().enumerate() {
-                    let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
-                    comp += 1;
-                    if elkan {
-                        row[2 + c] = dist_lower(d, err);
-                    }
-                    if d < best_d {
-                        runner = best_d;
-                        best_d = d;
-                        best = c;
-                    } else if d < runner {
-                        runner = d;
-                    }
+        parallel::map_rows_into(
+            &self.exec,
+            &mut self.state,
+            HAMERLY_STRIDE,
+            1,
+            |start, chunk| {
+                let mut comp = 0u64;
+                let mut upd = 0u64;
+                for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
+                    let i = start + off;
+                    comp +=
+                        rescan_point(row, data.row(i), x_norms[i], centroids, c_norms, err, None);
+                    upd += 1;
                 }
-                row[0] = best as f64;
-                row[1] = best_d.max(0.0);
-                if !elkan {
-                    row[2] = dist_lower(runner, err);
-                }
-            }
-            stats.add(comp, 0, (comp / k.max(1) as u64) * k as u64);
-        });
+                stats.add(comp, 0, upd);
+            },
+        );
     }
 
     /// Hamerly iteration: one exact evaluation per point (the previous
     /// assignment — `dmin` must be exact every iteration because it
     /// feeds inertia), then either a certified whole-point skip or a
     /// full rescan that re-tightens the bound from the runner-up.
-    fn hamerly_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
+    /// `delta_max` bounds how far any centroid moved since the bounds
+    /// were set.
+    fn hamerly_pass(
+        &mut self,
+        data: &Matrix,
+        centroids: &Matrix,
+        c_norms: &[f64],
+        err: f64,
+        delta_max: f64,
+    ) {
         let k = self.k;
-        let mut delta_max = 0.0;
-        for &d in self.drift.iter() {
-            if d > delta_max {
-                delta_max = d;
-            }
-        }
         let x_norms = &self.x_norms;
         let stats = &self.stats;
         parallel::map_rows_into(
@@ -614,205 +530,54 @@ impl AssignEngine {
                         skip += k as u64 - 1;
                         continue;
                     }
-                    let mut best = 0usize;
-                    let mut best_d = f64::INFINITY;
-                    let mut runner = f64::INFINITY;
-                    for (c, crow) in centroids.rows_iter().enumerate() {
-                        let d = if c == a {
-                            d_a
-                        } else {
-                            comp += 1;
-                            xn + c_norms[c] - 2.0 * ops::dot(x, crow)
-                        };
-                        if d < best_d {
-                            runner = best_d;
-                            best_d = d;
-                            best = c;
-                        } else if d < runner {
-                            runner = d;
-                        }
-                    }
-                    row[0] = best as f64;
-                    row[1] = best_d.max(0.0);
-                    row[2] = dist_lower(runner, err);
+                    comp += rescan_point(row, x, xn, centroids, c_norms, err, Some((a, d_a)));
                     upd += 1;
                 }
                 stats.add(comp, skip, upd);
             },
         );
     }
+}
 
-    /// Elkan iteration: per-candidate lower bounds decayed by
-    /// per-centroid drift, sharpened by the center–center matrix
-    /// (`s(a,c) − u ≤ d(x,c)`), with undecided candidates evaluated in
-    /// ascending order against the running best.
-    fn elkan_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
-        let k = self.k;
-        let stride = self.stride;
-        let x_norms = &self.x_norms;
-        let drift = &self.drift;
-        let cc = &self.cc;
-        let stats = &self.stats;
-        parallel::map_rows_into(&self.exec, &mut self.state, stride, 1, |start, chunk| {
-            let mut comp = 0u64;
-            let mut skip = 0u64;
-            let mut upd = 0u64;
-            for (off, row) in chunk.chunks_exact_mut(stride).enumerate() {
-                let i = start + off;
-                let x = data.row(i);
-                let xn = x_norms[i];
-                let a = row[0] as usize;
-                let d_a = xn + c_norms[a] - 2.0 * ops::dot(x, centroids.row(a));
+/// Full ascending scan of one point into its `[label, dmin, lower]`
+/// Hamerly row: the exhaustive strict-`<` argmin (lowest index on
+/// ties), its clamped distance, and a lower bound from the runner-up.
+/// `known` is a candidate whose kernel value was already computed with
+/// the same expression; its bits are reused. Returns the number of
+/// distances evaluated.
+fn rescan_point(
+    row: &mut [f64],
+    x: &[f64],
+    xn: f64,
+    centroids: &Matrix,
+    c_norms: &[f64],
+    err: f64,
+    known: Option<(usize, f64)>,
+) -> u64 {
+    let mut comp = 0u64;
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    let mut runner = f64::INFINITY;
+    for (c, crow) in centroids.rows_iter().enumerate() {
+        let d = match known {
+            Some((a, d_a)) if a == c => d_a,
+            _ => {
                 comp += 1;
-                let u = dist_upper(d_a, err);
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                for c in 0..k {
-                    let l_dec = decay_lower(row[2 + c], drift[c]);
-                    let d;
-                    if c == a {
-                        d = d_a;
-                        row[2 + c] = dist_lower(d_a, err);
-                        upd += 1;
-                    } else {
-                        let mut lb = l_dec;
-                        let s_gate = cc[a * k + c] - u;
-                        if s_gate > lb {
-                            lb = s_gate;
-                        }
-                        let gate = if best_d < d_a { best_d } else { d_a };
-                        if certified_floor(lb, err) > gate {
-                            row[2 + c] = l_dec;
-                            skip += 1;
-                            continue;
-                        }
-                        d = xn + c_norms[c] - 2.0 * ops::dot(x, centroids.row(c));
-                        comp += 1;
-                        row[2 + c] = dist_lower(d, err);
-                        upd += 1;
-                    }
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                row[0] = best as f64;
-                row[1] = best_d.max(0.0);
+                xn + c_norms[c] - 2.0 * ops::dot(x, crow)
             }
-            stats.add(comp, skip, upd);
-        });
+        };
+        if d < best_d {
+            runner = best_d;
+            best_d = d;
+            best = c;
+        } else if d < runner {
+            runner = d;
+        }
     }
-
-    /// Rebuilds the center–center lower-bound matrix. Bounds are
-    /// performance-only, so the factored Khatri-Rao path (sum
-    /// aggregator) may compute them any way it likes without touching
-    /// the bitwise contract.
-    fn rebuild_cc(&mut self, centroids: &Matrix, factors: Option<&[Matrix]>, agg: Aggregator) {
-        let k = self.k;
-        if let Some(sets) = factors {
-            if agg == Aggregator::Sum && self.rebuild_cc_factored(sets) {
-                self.stats.add(0, 0, (k * k) as u64);
-                return;
-            }
-        }
-        for a in 0..k {
-            self.cc[a * k + a] = 0.0;
-            for b in (a + 1)..k {
-                let lo = cc_lower(ops::sqdist(centroids.row(a), centroids.row(b)));
-                self.cc[a * k + b] = lo;
-                self.cc[b * k + a] = lo;
-            }
-        }
-        self.stats.add(0, 0, (k * k) as u64);
-    }
-
-    /// Factored center–center rebuild for sum-aggregated Khatri-Rao
-    /// grids: `‖c_i − c_j‖²` expands over per-factor Gram blocks
-    /// `G[(l,a),(l',b)] = ⟨θ_l[a], θ_{l'}[b]⟩`, so the whole matrix
-    /// costs O((Σh)²·m + k²·p²) instead of O(k²·m). Accumulation order
-    /// is fixed (l-major), and the result carries a generous additive
-    /// slack, so the bounds stay certified.
-    fn rebuild_cc_factored(&mut self, sets: &[Matrix]) -> bool {
-        let k = self.k;
-        let m = self.m;
-        let p = sets.len();
-        if p == 0 {
-            return false;
-        }
-        let scratch = self.exec.scratch().clone();
-        let mut offs = scratch.take_usize(p + 1);
-        let mut total = 0usize;
-        for (l, s) in sets.iter().enumerate() {
-            offs[l] = total;
-            total += s.nrows();
-        }
-        offs[p] = total;
-        let mut s_bound = 0.0;
-        for s in sets.iter() {
-            let mut mx = 0.0;
-            for r in s.rows_iter() {
-                let v = ops::sq_norm(r);
-                if v > mx {
-                    mx = v;
-                }
-            }
-            s_bound += if mx > 0.0 { mx.sqrt() } else { 0.0 };
-        }
-        let cc_err =
-            (m as f64 + (4 * p * p) as f64 + 64.0) * 2.0_f64.powi(-48) * 4.0 * s_bound * s_bound;
-        let mut gram = scratch.take_f64_uninit(total * total);
-        for l in 0..p {
-            for a in 0..sets[l].nrows() {
-                let ia = offs[l] + a;
-                for l2 in l..p {
-                    for b in 0..sets[l2].nrows() {
-                        let ib = offs[l2] + b;
-                        if ib < ia {
-                            continue;
-                        }
-                        let g = ops::dot(sets[l].row(a), sets[l2].row(b));
-                        gram[ia * total + ib] = g;
-                        gram[ib * total + ia] = g;
-                    }
-                }
-            }
-        }
-        // Mixed-radix digits of every flat index (last digit fastest,
-        // matching `CentroidIndexer`).
-        let mut tuples = scratch.take_usize(k * p);
-        for flat in 0..k {
-            let mut f = flat;
-            for l in (0..p).rev() {
-                let h = sets[l].nrows();
-                tuples[flat * p + l] = f % h;
-                f /= h;
-            }
-        }
-        for i in 0..k {
-            self.cc[i * k + i] = 0.0;
-            for j in (i + 1)..k {
-                let mut cc_sq = 0.0;
-                for l in 0..p {
-                    let ia = offs[l] + tuples[i * p + l];
-                    let ja = offs[l] + tuples[j * p + l];
-                    for l2 in 0..p {
-                        let ib = offs[l2] + tuples[i * p + l2];
-                        let jb = offs[l2] + tuples[j * p + l2];
-                        cc_sq +=
-                            gram[ia * total + ib] - gram[ia * total + jb] - gram[ja * total + ib]
-                                + gram[ja * total + jb];
-                    }
-                }
-                let lo = dist_lower(cc_sq, cc_err);
-                self.cc[i * k + j] = lo;
-                self.cc[j * k + i] = lo;
-            }
-        }
-        scratch.put_usize(tuples);
-        scratch.put_f64(gram);
-        scratch.put_usize(offs);
-        true
-    }
+    row[0] = best as f64;
+    row[1] = best_d.max(0.0);
+    row[2] = dist_lower(runner, err);
+    comp
 }
 
 impl AssignEngine {
@@ -918,8 +683,6 @@ impl AssignEngine {
         }
         self.session = SessionKind::Otf;
         self.k = k;
-        self.mode = BoundMode::Hamerly;
-        self.stride = OTF_STRIDE;
         self.ready = false;
         let scratch = self.exec.scratch().clone();
         resize_buf(&scratch, &mut self.state, self.n * OTF_STRIDE);
@@ -1183,8 +946,6 @@ impl Drop for AssignEngine {
         scratch.put_f64(std::mem::take(&mut self.x_hi));
         scratch.put_f64(std::mem::take(&mut self.state));
         scratch.put_f64(std::mem::take(&mut self.prev));
-        scratch.put_f64(std::mem::take(&mut self.drift));
-        scratch.put_f64(std::mem::take(&mut self.cc));
         for buf in self.prev_sets.drain(..) {
             scratch.put_f64(buf);
         }
@@ -1551,17 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_heuristic_is_pure_and_sized() {
-        assert_eq!(auto_mode(10_000, 16, 8), BoundMode::Elkan);
-        assert_eq!(auto_mode(10_000, 128, 64), BoundMode::Hamerly); // k > 96
-        assert_eq!(auto_mode(100, 64, 64), BoundMode::Hamerly); // k^2 > n
-        assert_eq!(auto_mode(10_000, 64, 4), BoundMode::Hamerly); // k > 4m
-        for _ in 0..3 {
-            assert_eq!(auto_mode(6000, 64, 16), BoundMode::Elkan);
-        }
-    }
-
-    #[test]
     fn stats_merge_and_ratio() {
         let mut a = PruneStats {
             dists_computed: 10,
@@ -1581,66 +1331,59 @@ mod tests {
     }
 
     /// Drives a few Lloyd-style iterations with drifting centroids and
-    /// checks the pruned engine against the exhaustive scan bitwise, in
-    /// both forced modes.
+    /// checks the pruned engine against the exhaustive scan bitwise.
     #[test]
     fn dense_engine_matches_exhaustive_bitwise() {
         let data = Matrix::from_fn(60, 4, |i, j| ((i * 13 + j * 7) % 23) as f64 * 0.21);
-        for mode in [PruneMode::Hamerly, PruneMode::Elkan, PruneMode::Auto] {
-            let exec = ExecCtx::serial().with_prune_mode(mode);
-            let mut engine = AssignEngine::new(&exec);
-            engine.begin_fit(&data);
-            let mut centroids = Matrix::from_fn(5, 4, |i, j| ((i * 5 + j) % 11) as f64 * 0.4);
-            let mut labels = vec![0usize; 60];
-            let mut dmin = vec![0.0f64; 60];
-            let mut ref_labels = vec![0usize; 60];
-            let mut ref_dmin = vec![0.0f64; 60];
-            for it in 0..6 {
-                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                exhaustive_dense(
-                    &data,
-                    &centroids,
-                    &mut ref_labels,
-                    &mut ref_dmin,
-                    &exec,
-                    None,
-                );
-                assert_eq!(labels, ref_labels, "mode {mode:?} iter {it}");
-                for (i, (a, b)) in dmin.iter().zip(ref_dmin.iter()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "mode {mode:?} iter {it} point {i}"
-                    );
-                }
-                // Shrink centroids toward their cluster means (drift).
-                for c in 0..centroids.nrows() {
-                    let mut acc = vec![0.0f64; 4];
-                    let mut cnt = 0usize;
-                    for (i, &l) in labels.iter().enumerate() {
-                        if l == c {
-                            ops::add_assign(&mut acc, data.row(i));
-                            cnt += 1;
-                        }
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let mut engine = AssignEngine::new(&exec);
+        engine.begin_fit(&data);
+        let mut centroids = Matrix::from_fn(5, 4, |i, j| ((i * 5 + j) % 11) as f64 * 0.4);
+        let mut labels = vec![0usize; 60];
+        let mut dmin = vec![0.0f64; 60];
+        let mut ref_labels = vec![0usize; 60];
+        let mut ref_dmin = vec![0.0f64; 60];
+        for it in 0..6 {
+            engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+            exhaustive_dense(
+                &data,
+                &centroids,
+                &mut ref_labels,
+                &mut ref_dmin,
+                &exec,
+                None,
+            );
+            assert_eq!(labels, ref_labels, "iter {it}");
+            for (i, (a, b)) in dmin.iter().zip(ref_dmin.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "iter {it} point {i}");
+            }
+            // Shrink centroids toward their cluster means (drift).
+            for c in 0..centroids.nrows() {
+                let mut acc = vec![0.0f64; 4];
+                let mut cnt = 0usize;
+                for (i, &l) in labels.iter().enumerate() {
+                    if l == c {
+                        ops::add_assign(&mut acc, data.row(i));
+                        cnt += 1;
                     }
-                    if cnt > 0 {
-                        let inv = 1.0 / cnt as f64;
-                        for (cv, &s) in centroids.row_mut(c).iter_mut().zip(acc.iter()) {
-                            *cv = 0.5 * *cv + 0.5 * s * inv;
-                        }
+                }
+                if cnt > 0 {
+                    let inv = 1.0 / cnt as f64;
+                    for (cv, &s) in centroids.row_mut(c).iter_mut().zip(acc.iter()) {
+                        *cv = 0.5 * *cv + 0.5 * s * inv;
                     }
                 }
             }
-            let stats = engine.take_stats();
-            assert!(stats.dists_computed > 0);
         }
+        let stats = engine.take_stats();
+        assert!(stats.dists_computed > 0);
     }
 
     #[test]
     fn zero_drift_iterations_skip_everything_after_warmup() {
         let data = Matrix::from_fn(200, 3, |i, j| ((i * 3 + j) % 17) as f64);
         let centroids = Matrix::from_fn(4, 3, |i, j| (i * 4 + j) as f64 * 1.5);
-        let exec = ExecCtx::serial().with_prune_mode(PruneMode::Hamerly);
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
         let mut engine = AssignEngine::new(&exec);
         engine.begin_fit(&data);
         let mut labels = vec![0usize; 200];
@@ -1660,21 +1403,19 @@ mod tests {
     fn k_equals_one_never_breaks() {
         let data = Matrix::from_fn(10, 2, |i, j| (i + j) as f64);
         let centroids = Matrix::from_fn(1, 2, |_, j| j as f64 + 3.0);
-        for mode in [PruneMode::Hamerly, PruneMode::Elkan] {
-            let exec = ExecCtx::serial().with_prune_mode(mode);
-            let mut engine = AssignEngine::new(&exec);
-            engine.begin_fit(&data);
-            let mut labels = vec![9usize; 10];
-            let mut dmin = vec![0.0f64; 10];
-            for _ in 0..3 {
-                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                let mut rl = vec![0usize; 10];
-                let mut rd = vec![0.0f64; 10];
-                exhaustive_dense(&data, &centroids, &mut rl, &mut rd, &exec, None);
-                assert_eq!(labels, rl);
-                for (a, b) in dmin.iter().zip(rd.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let mut engine = AssignEngine::new(&exec);
+        engine.begin_fit(&data);
+        let mut labels = vec![9usize; 10];
+        let mut dmin = vec![0.0f64; 10];
+        for _ in 0..3 {
+            engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+            let mut rl = vec![0usize; 10];
+            let mut rd = vec![0.0f64; 10];
+            exhaustive_dense(&data, &centroids, &mut rl, &mut rd, &exec, None);
+            assert_eq!(labels, rl);
+            for (a, b) in dmin.iter().zip(rd.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
@@ -1688,21 +1429,19 @@ mod tests {
             let r = if i == 2 { 1 } else { i };
             ((r * 3 + j) % 5) as f64
         });
-        for mode in [PruneMode::Hamerly, PruneMode::Elkan] {
-            let exec = ExecCtx::serial().with_prune_mode(mode);
-            let mut engine = AssignEngine::new(&exec);
-            engine.begin_fit(&data);
-            let mut labels = vec![0usize; 30];
-            let mut dmin = vec![0.0f64; 30];
-            for _ in 0..4 {
-                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                let mut rl = vec![0usize; 30];
-                let mut rd = vec![0.0f64; 30];
-                exhaustive_dense(&data, &centroids, &mut rl, &mut rd, &exec, None);
-                assert_eq!(labels, rl, "mode {mode:?}");
-                for (a, b) in dmin.iter().zip(rd.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let mut engine = AssignEngine::new(&exec);
+        engine.begin_fit(&data);
+        let mut labels = vec![0usize; 30];
+        let mut dmin = vec![0.0f64; 30];
+        for _ in 0..4 {
+            engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+            let mut rl = vec![0usize; 30];
+            let mut rd = vec![0.0f64; 30];
+            exhaustive_dense(&data, &centroids, &mut rl, &mut rd, &exec, None);
+            assert_eq!(labels, rl);
+            for (a, b) in dmin.iter().zip(rd.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
@@ -1715,7 +1454,7 @@ mod tests {
         let m = 3;
         let data = Matrix::from_fn(n, m, |i, j| ((i * 11 + j * 5) % 19) as f64 * 0.3);
         for agg in [Aggregator::Sum, Aggregator::Product] {
-            let exec = ExecCtx::serial().with_prune_mode(PruneMode::Auto);
+            let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
             let indexer = CentroidIndexer::new(vec![3, 4]);
             let mut sets = vec![
                 Matrix::from_fn(3, m, |i, j| ((i * 2 + j) % 5) as f64 * 0.7 + 0.1),
@@ -1749,43 +1488,6 @@ mod tests {
             let stats = engine.take_stats();
             assert!(stats.dists_computed > 0, "agg {agg:?}");
             assert!(stats.dists_skipped > 0, "agg {agg:?}");
-        }
-    }
-
-    /// The materialized-grid path with the factored center–center
-    /// rebuild (Elkan over a KR sum grid) stays bitwise-exhaustive.
-    #[test]
-    fn grid_engine_factored_cc_matches_exhaustive() {
-        use crate::operator::khatri_rao;
-        let n = 50;
-        let m = 4;
-        let data = Matrix::from_fn(n, m, |i, j| ((i * 7 + j * 3) % 13) as f64 * 0.5);
-        let exec = ExecCtx::serial().with_prune_mode(PruneMode::Elkan);
-        let mut sets = vec![
-            Matrix::from_fn(2, m, |i, j| ((i * 3 + j) % 4) as f64 * 0.8),
-            Matrix::from_fn(3, m, |i, j| ((i + j * 2) % 5) as f64 * 0.6),
-        ];
-        let mut engine = AssignEngine::new(&exec);
-        engine.begin_fit(&data);
-        let mut labels = vec![0usize; n];
-        let mut dmin = vec![0.0f64; n];
-        for it in 0..4 {
-            let grid = khatri_rao(&sets, Aggregator::Sum).unwrap();
-            engine.assign_grid(&data, &grid, &sets, Aggregator::Sum, &mut labels, &mut dmin);
-            let mut rl = vec![0usize; n];
-            let mut rd = vec![0.0f64; n];
-            exhaustive_dense(&data, &grid, &mut rl, &mut rd, &exec, None);
-            assert_eq!(labels, rl, "iter {it}");
-            for (a, b) in dmin.iter().zip(rd.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "iter {it}");
-            }
-            for s in sets.iter_mut() {
-                for r in 0..s.nrows() {
-                    for v in s.row_mut(r).iter_mut() {
-                        *v = 0.9 * *v + 0.03;
-                    }
-                }
-            }
         }
     }
 

@@ -461,7 +461,7 @@ impl KrKMeans {
         match self.variant {
             KrVariant::TimeEfficient => {
                 let centroids = khatri_rao(sets, self.aggregator).expect("validated sets");
-                engine.assign_grid(data, &centroids, sets, self.aggregator, labels, dmin);
+                engine.assign_dense(data, &centroids, labels, dmin);
             }
             KrVariant::MemoryEfficient => {
                 engine.assign_otf(data, sets, indexer, self.aggregator, labels, dmin);
@@ -470,26 +470,6 @@ impl KrKMeans {
     }
 }
 
-/// On-the-fly assignment: enumerate all centroid combinations, holding
-/// only one aggregated centroid at a time (Algorithm 1 lines 7-14).
-///
-/// One-shot entry point: delegates to the shared exhaustive scan in
-/// [`crate::assign`] (the reference implementation the pruned
-/// [`AssignEngine::assign_otf`] path is bitwise-pinned to).
-#[allow(dead_code)]
-fn assign_on_the_fly(
-    data: &Matrix,
-    sets: &[Matrix],
-    indexer: &CentroidIndexer,
-    agg: Aggregator,
-    labels: &mut [usize],
-    dmin: &mut [f64],
-    exec: &ExecCtx,
-) {
-    crate::assign::exhaustive_otf(data, sets, indexer, agg, labels, dmin, exec, None);
-}
-
-/// Groups point indices by flat cluster label.
 /// One full closed-form update pass of every protocentroid set against a
 /// *fixed* flat assignment (Proposition 6.1, Algorithm 1 lines 16-19).
 ///

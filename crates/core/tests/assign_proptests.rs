@@ -3,11 +3,12 @@
 //!
 //! The engine's contract (see `kr_core::assign`) is that pruning is
 //! *invisible* in the output: labels, per-point distances, centroids,
-//! and inertia must carry the same bits as the exhaustive path, in
-//! every `PruneMode`, in both `KernelMode`s, at any worker count.
+//! and inertia must carry the same bits as the exhaustive path
+//! (`PruneMode::Off`), in both `KernelMode`s, at any worker count.
 //! These properties sweep ragged shapes and the degenerate corners —
 //! k = 1, duplicate centroids, zero-drift iterations — plus plain
-//! end-to-end fits at 1/2/8 pool workers.
+//! end-to-end fits at 1/2/8 pool workers, and one larger fit in the
+//! small-k, large-n regime.
 
 use kr_core::aggregator::Aggregator;
 use kr_core::assign::AssignEngine;
@@ -56,37 +57,35 @@ fn ragged_case() -> impl Strategy<Value = (Matrix, Matrix)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Ragged shapes, several drifting iterations, all forced modes and
-    /// both kernel modes: the engine never departs from the exhaustive
-    /// scan by a single bit.
+    /// Ragged shapes, several drifting iterations, both kernel modes:
+    /// the engine never departs from the exhaustive scan by a single
+    /// bit.
     #[test]
     fn dense_pruned_is_bitwise_exhaustive((data, mut centroids) in ragged_case()) {
         let n = data.nrows();
         for kernel in [KernelMode::Scalar, KernelMode::Simd] {
-            for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
-                let exec = ExecCtx::serial()
-                    .with_kernel_mode(kernel)
-                    .with_prune_mode(mode);
-                let mut engine = AssignEngine::new(&exec);
-                engine.begin_fit(&data);
-                let mut centroids = centroids.clone();
-                let mut labels = vec![0usize; n];
-                let mut dmin = vec![0.0f64; n];
-                for it in 0..4 {
-                    engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                    let (rl, rd) = exhaustive(&data, &centroids, &exec);
-                    assert_bitwise(
-                        (&labels, &dmin),
-                        (&rl, &rd),
-                        &format!("{kernel:?}/{mode:?} iter {it}"),
-                    );
-                    // Drift every centroid a little; iteration 2 is a
-                    // zero-drift round (stale-bound certification path).
-                    if it != 2 {
-                        for c in 0..centroids.nrows() {
-                            for (j, v) in centroids.row_mut(c).iter_mut().enumerate() {
-                                *v += 0.03 * ((c + j + it) % 3) as f64;
-                            }
+            let exec = ExecCtx::serial()
+                .with_kernel_mode(kernel)
+                .with_prune_mode(PruneMode::On);
+            let mut engine = AssignEngine::new(&exec);
+            engine.begin_fit(&data);
+            let mut centroids = centroids.clone();
+            let mut labels = vec![0usize; n];
+            let mut dmin = vec![0.0f64; n];
+            for it in 0..4 {
+                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+                let (rl, rd) = exhaustive(&data, &centroids, &exec);
+                assert_bitwise(
+                    (&labels, &dmin),
+                    (&rl, &rd),
+                    &format!("{kernel:?} iter {it}"),
+                );
+                // Drift every centroid a little; iteration 2 is a
+                // zero-drift round (stale-bound certification path).
+                if it != 2 {
+                    for c in 0..centroids.nrows() {
+                        for (j, v) in centroids.row_mut(c).iter_mut().enumerate() {
+                            *v += 0.03 * ((c + j + it) % 3) as f64;
                         }
                     }
                 }
@@ -110,17 +109,15 @@ proptest! {
             centroids.row_mut(dst).copy_from_slice(&row);
         }
         let n = data.nrows();
-        for mode in [PruneMode::Hamerly, PruneMode::Elkan] {
-            let exec = ExecCtx::serial().with_prune_mode(mode);
-            let mut engine = AssignEngine::new(&exec);
-            engine.begin_fit(&data);
-            let mut labels = vec![0usize; n];
-            let mut dmin = vec![0.0f64; n];
-            for it in 0..3 {
-                engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
-                let (rl, rd) = exhaustive(&data, &centroids, &exec);
-                assert_bitwise((&labels, &dmin), (&rl, &rd), &format!("{mode:?} iter {it}"));
-            }
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let mut engine = AssignEngine::new(&exec);
+        engine.begin_fit(&data);
+        let mut labels = vec![0usize; n];
+        let mut dmin = vec![0.0f64; n];
+        for it in 0..3 {
+            engine.assign_dense(&data, &centroids, &mut labels, &mut dmin);
+            let (rl, rd) = exhaustive(&data, &centroids, &exec);
+            assert_bitwise((&labels, &dmin), (&rl, &rd), &format!("iter {it}"));
         }
     }
 
@@ -148,16 +145,10 @@ proptest! {
                 .unwrap()
         };
         let reference = fit(PruneMode::Off);
-        for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
-            let model = fit(mode);
-            assert_eq!(model.labels, reference.labels, "mode {mode:?}");
-            assert_eq!(
-                model.inertia.to_bits(),
-                reference.inertia.to_bits(),
-                "mode {mode:?}"
-            );
-            assert_eq!(model.centroids, reference.centroids, "mode {mode:?}");
-        }
+        let model = fit(PruneMode::On);
+        assert_eq!(model.labels, reference.labels);
+        assert_eq!(model.inertia.to_bits(), reference.inertia.to_bits());
+        assert_eq!(model.centroids, reference.centroids);
     }
 
     /// The KR on-the-fly engine across both aggregators: bitwise equal
@@ -207,8 +198,8 @@ proptest! {
     }
 }
 
-/// Full fits at 1, 2, and 8 pool workers with pruning in every mode:
-/// the pruned model matches the exhaustive serial reference bitwise.
+/// Full fits at 1, 2, and 8 pool workers with pruning on: the pruned
+/// model matches the exhaustive serial reference bitwise.
 #[test]
 fn pruned_fits_bitwise_across_1_2_8_workers() {
     let data = kr_datasets::synthetic::blobs(300, 6, 8, 0.4, 7).data;
@@ -219,29 +210,23 @@ fn pruned_fits_bitwise_across_1_2_8_workers() {
         .fit(&data)
         .unwrap();
     for workers in [1usize, 2, 8] {
-        let pool = Arc::new(ThreadPool::new(workers));
-        for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
-            let exec = ExecCtx::threaded(workers + 1)
-                .with_pool(Arc::clone(&pool))
-                .with_prune_mode(mode);
-            let model = KMeans::new(8)
-                .with_seed(11)
-                .with_n_init(2)
-                .with_exec(exec)
-                .fit(&data)
-                .unwrap();
-            assert_eq!(model.labels, reference.labels, "workers {workers} {mode:?}");
-            assert_eq!(
-                model.inertia.to_bits(),
-                reference.inertia.to_bits(),
-                "workers {workers} {mode:?}"
-            );
-            assert_eq!(model.centroids, reference.centroids);
-            assert!(
-                mode == PruneMode::Off || model.prune_stats.dists_skipped > 0,
-                "pruning never engaged at workers {workers} {mode:?}"
-            );
-        }
+        let model = KMeans::new(8)
+            .with_seed(11)
+            .with_n_init(2)
+            .with_exec(pooled(workers, KernelMode::from_env()))
+            .fit(&data)
+            .unwrap();
+        assert_eq!(model.labels, reference.labels, "workers {workers}");
+        assert_eq!(
+            model.inertia.to_bits(),
+            reference.inertia.to_bits(),
+            "workers {workers}"
+        );
+        assert_eq!(model.centroids, reference.centroids);
+        assert!(
+            model.prune_stats.dists_skipped > 0,
+            "pruning never engaged at workers {workers}"
+        );
     }
 }
 
@@ -261,21 +246,79 @@ fn kr_fits_pruned_equal_exhaustive_both_variants() {
                 .unwrap()
         };
         let reference = fit(PruneMode::Off);
-        for mode in [PruneMode::Auto, PruneMode::Hamerly, PruneMode::Elkan] {
-            let model = fit(mode);
-            assert_eq!(model.labels, reference.labels, "{variant:?} {mode:?}");
+        let model = fit(PruneMode::On);
+        assert_eq!(model.labels, reference.labels, "{variant:?}");
+        assert_eq!(
+            model.inertia.to_bits(),
+            reference.inertia.to_bits(),
+            "{variant:?}"
+        );
+        assert_eq!(
+            model.protocentroids, reference.protocentroids,
+            "{variant:?}"
+        );
+    }
+}
+
+/// A pruning-on context on an explicit pool of `workers` threads.
+fn pooled(workers: usize, kernel: KernelMode) -> ExecCtx {
+    ExecCtx::threaded(workers + 1)
+        .with_pool(Arc::new(ThreadPool::new(workers)))
+        .with_kernel_mode(kernel)
+        .with_prune_mode(PruneMode::On)
+}
+
+/// The small-k, large-n regime (k = 16 on 1200×16 blobs, so k² ≤ n and
+/// k ≤ 4m), which no ragged case reaches: `KMeans(16)` and a warm-started
+/// KR-+ 4+4 grid fit with pruning on equal the exhaustive fit bitwise at
+/// 1/2/8 workers in both kernel modes, and the bounds do skip work.
+#[test]
+fn small_k_large_n_fits_pruned_equal_exhaustive() {
+    let data = kr_datasets::synthetic::blobs(1200, 16, 16, 1.0, 19).data;
+    let kmeans = |exec: ExecCtx| {
+        KMeans::new(16)
+            .with_seed(23)
+            .with_n_init(2)
+            .with_exec(exec)
+            .fit(&data)
+            .unwrap()
+    };
+    let kr = |exec: ExecCtx| {
+        KrKMeans::new(vec![4, 4])
+            .with_variant(KrVariant::TimeEfficient)
+            .with_warm_start(true)
+            .with_seed(23)
+            .with_n_init(2)
+            .with_exec(exec)
+            .fit(&data)
+            .unwrap()
+    };
+    for kernel in [KernelMode::Scalar, KernelMode::Simd] {
+        let off = ExecCtx::serial()
+            .with_kernel_mode(kernel)
+            .with_prune_mode(PruneMode::Off);
+        let km_ref = kmeans(off.clone());
+        let kr_ref = kr(off);
+        for workers in [1usize, 2, 8] {
+            let ctx = format!("{kernel:?} workers {workers}");
+            let km = kmeans(pooled(workers, kernel));
+            assert_eq!(km.labels, km_ref.labels, "KMeans {ctx}");
+            assert_eq!(km.centroids, km_ref.centroids, "KMeans {ctx}");
             assert_eq!(
-                model.inertia.to_bits(),
-                reference.inertia.to_bits(),
-                "{variant:?} {mode:?}"
+                km.inertia.to_bits(),
+                km_ref.inertia.to_bits(),
+                "KMeans {ctx}"
             );
-            for (a, b) in model
-                .protocentroids
-                .iter()
-                .zip(reference.protocentroids.iter())
-            {
-                assert_eq!(a, b, "{variant:?} {mode:?}");
-            }
+            assert!(km.prune_stats.dists_skipped > 0, "KMeans {ctx}: no skips");
+            let grid = kr(pooled(workers, kernel));
+            assert_eq!(grid.labels, kr_ref.labels, "KR-+ {ctx}");
+            assert_eq!(grid.protocentroids, kr_ref.protocentroids, "KR-+ {ctx}");
+            assert_eq!(
+                grid.inertia.to_bits(),
+                kr_ref.inertia.to_bits(),
+                "KR-+ {ctx}"
+            );
+            assert!(grid.prune_stats.dists_skipped > 0, "KR-+ {ctx}: no skips");
         }
     }
 }

@@ -47,6 +47,10 @@ pub const MAX_FRAME_LEN: usize = 1 << 30;
 /// Size of the `u32` length prefix.
 pub const LEN_PREFIX: usize = 4;
 
+/// Payload bytes [`read_frame`] reserves before any arrive; a larger
+/// frame's buffer grows with the bytes received.
+const READ_RESERVE: usize = 64 * 1024;
+
 /// Framing / decoding errors. All decode paths return errors instead of
 /// panicking, so a corrupt or truncated peer cannot crash the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -580,7 +584,10 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
 }
 
 /// Reads one full frame (length prefix included) from a stream. A clean
-/// EOF at a frame boundary returns [`WireError::Closed`].
+/// EOF at a frame boundary returns [`WireError::Closed`]; an EOF inside
+/// the frame returns [`WireError::Truncated`]. The payload buffer grows
+/// only with the bytes received, so a length prefix alone cannot make
+/// the reader allocate up to [`MAX_FRAME_LEN`].
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut prefix = [0u8; LEN_PREFIX];
     let mut filled = 0usize;
@@ -603,17 +610,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
     }
-    let mut frame = vec![0u8; LEN_PREFIX + len];
-    frame[..LEN_PREFIX].copy_from_slice(&prefix);
-    r.read_exact(&mut frame[LEN_PREFIX..]).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else if is_timeout(&e) {
+    let mut frame = Vec::with_capacity(LEN_PREFIX + len.min(READ_RESERVE));
+    frame.extend_from_slice(&prefix);
+    r.take(len as u64).read_to_end(&mut frame).map_err(|e| {
+        if is_timeout(&e) {
             WireError::Timeout
         } else {
             WireError::Io(e.to_string())
         }
     })?;
+    if frame.len() != LEN_PREFIX + len {
+        return Err(WireError::Truncated);
+    }
     Ok(frame)
 }
 
@@ -726,5 +734,43 @@ mod tests {
         lying_len[2] = 0xFF;
         lying_len[3] = 0x7F;
         assert!(decode_frame(&lying_len).is_err());
+    }
+
+    /// Serves fixed bytes, then EOF, recording the largest buffer any
+    /// `read` call was handed.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn huge_prefix_with_short_payload_is_truncated_without_a_huge_buffer() {
+        let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut r = Recording {
+            bytes: &bytes,
+            largest: 0,
+        };
+        assert_eq!(read_frame(&mut r), Err(WireError::Truncated));
+        assert!(r.largest <= 64 * 1024, "read buffer of {} bytes", r.largest);
+
+        // A whole frame still reads back byte for byte.
+        let (frame, _) = encode(&Msg::SeedMass { mass: 2.5 });
+        let mut r = Recording {
+            bytes: &frame,
+            largest: 0,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), frame);
+        assert_eq!(read_frame(&mut r), Err(WireError::Closed));
     }
 }

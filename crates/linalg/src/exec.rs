@@ -63,42 +63,31 @@ impl KernelMode {
 
 /// Assignment-pruning policy for the bounds-gated engine in `kr-core`.
 ///
-/// Triangle-inequality pruning (Elkan/Hamerly-style bounds, adapted to a
-/// bitwise-equality contract) is a *performance* knob: every mode
-/// produces labels, distances, centroids, and inertia bitwise identical
-/// to `Off` (the exhaustive scan). `Auto` — the default — picks a bound
-/// structure from a deterministic size heuristic; the explicit modes
-/// force one structure, which CI uses to pin the equality contract on
-/// both.
+/// Triangle-inequality pruning (one Hamerly-style lower bound per
+/// point, adapted to a bitwise-equality contract) is a *performance*
+/// knob: `On` produces labels, distances, centroids, and inertia
+/// bitwise identical to `Off`, the exhaustive scan. `Off` stays as the
+/// reference the equality contract is pinned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruneMode {
-    /// Deterministic size heuristic: full center–center bounds (Elkan)
-    /// for small centroid counts, single lower bound per point (Hamerly)
-    /// otherwise.
+    /// Bounds-gated assignment.
     #[default]
-    Auto,
+    On,
     /// Exhaustive scans only — the reference path.
     Off,
-    /// Force the single-lower-bound structure regardless of size.
-    Hamerly,
-    /// Force the full center–center bound matrix regardless of size.
-    Elkan,
 }
 
 impl PruneMode {
     /// The process-default mode, read once from the `KR_PRUNE`
-    /// environment variable (`off`, `hamerly`, `elkan`, anything else —
-    /// including unset — means `Auto`) and cached, mirroring
-    /// [`KernelMode::from_env`]. CI uses `KR_PRUNE=hamerly` /
-    /// `KR_PRUNE=elkan` to re-run the determinism suites with pruning
-    /// forced on.
+    /// environment variable (`off` means `Off`; anything else —
+    /// including unset — means `On`) and cached, mirroring
+    /// [`KernelMode::from_env`]. CI uses `KR_PRUNE=off` to re-run the
+    /// determinism suites on the exhaustive path.
     pub fn from_env() -> Self {
         static MODE: OnceLock<PruneMode> = OnceLock::new();
         *MODE.get_or_init(|| match std::env::var("KR_PRUNE") {
             Ok(v) if v.eq_ignore_ascii_case("off") => PruneMode::Off,
-            Ok(v) if v.eq_ignore_ascii_case("hamerly") => PruneMode::Hamerly,
-            Ok(v) if v.eq_ignore_ascii_case("elkan") => PruneMode::Elkan,
-            _ => PruneMode::Auto,
+            _ => PruneMode::On,
         })
     }
 }

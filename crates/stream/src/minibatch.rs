@@ -438,7 +438,7 @@ mod tests {
         let (reference, ref_rebuilds, ref_stats) = run(PruneMode::Off);
         assert_eq!(ref_rebuilds, 0, "pruning off must not build bounds");
         assert_eq!(ref_stats, PruneStats::default());
-        let (pruned, rebuilds, stats) = run(PruneMode::Auto);
+        let (pruned, rebuilds, stats) = run(PruneMode::On);
         assert_eq!(pruned.protocentroids, reference.protocentroids);
         for (a, b) in pruned.batch_inertia.iter().zip(&reference.batch_inertia) {
             assert_eq!(a.to_bits(), b.to_bits());

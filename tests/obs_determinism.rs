@@ -1,9 +1,9 @@
 //! The observability determinism contract, CI-enforced: with the `obs`
 //! feature compiled in and a recorder attached, every numeric result is
 //! **bitwise identical** to the recorder-free run — at 1/2/8 pool
-//! workers, in both kernel modes, with pruning off and with Elkan
-//! bounds — and each instrumented subsystem produces a non-empty,
-//! schema-valid JSONL trace.
+//! workers, in both kernel modes, with pruning off and on — and each
+//! instrumented subsystem produces a non-empty, schema-valid JSONL
+//! trace.
 //!
 //! The comparison here is recorder-attached vs. recorder-absent within
 //! one obs-enabled build. That transitively pins the obs-off *build* as
@@ -53,7 +53,7 @@ fn krkmeans_fit_is_bitwise_invisible_across_workers_kernels_prune() {
     let (ds, _, _) = kr_structured(3, 2, 30, 0.2, StructureKind::Additive, 41);
     for workers in WORKERS {
         for kernel in [KernelMode::Scalar, KernelMode::Simd] {
-            for prune in [PruneMode::Off, PruneMode::Elkan] {
+            for prune in [PruneMode::Off, PruneMode::On] {
                 let ctx = format!("workers={workers} kernel={kernel:?} prune={prune:?}");
                 let fit = || {
                     KrKMeans::new(vec![3, 2])
@@ -88,7 +88,7 @@ fn krkmeans_fit_is_bitwise_invisible_across_workers_kernels_prune() {
                     "{ctx}: assembled centroids"
                 );
                 let mut expect = vec!["krkmeans.seed", "krkmeans.lloyd", "assign.pass"];
-                if prune == PruneMode::Elkan {
+                if prune == PruneMode::On {
                     expect.push("assign.dists_skipped");
                 }
                 assert_valid_trace(&snapshot, &expect);
@@ -109,7 +109,7 @@ fn kmeans_fit_is_bitwise_invisible() {
             KMeans::new(6)
                 .with_seed(2)
                 .with_n_init(3)
-                .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan))
+                .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::On))
                 .fit(&ds.data)
                 .unwrap()
         };
@@ -134,7 +134,7 @@ fn minibatch_stream_is_bitwise_invisible() {
     let run = |workers: usize| {
         let mut s = MiniBatchKrKMeans::new(vec![5, 2])
             .with_seed(11)
-            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan));
+            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::On));
         for b in 0..12 {
             let batch = ds
                 .data
@@ -159,7 +159,7 @@ fn minibatch_stream_is_bitwise_invisible() {
         let recorder = obs::Recorder::install_virtual();
         let mut s = MiniBatchKrKMeans::new(vec![5, 2])
             .with_seed(11)
-            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::Elkan));
+            .with_exec(exec_with(workers, KernelMode::Simd, PruneMode::On));
         let mut events = Vec::new();
         let mut dropped = 0u64;
         for b in 0..12 {
