@@ -8,13 +8,20 @@
 //! regime is the long tail of near-converged iterations where drift is
 //! small and bounds certify almost every point.
 //!
+//! The `kr_otf_sum_8x8` leg runs the same comparison for the on-the-fly
+//! KR-+ assignment (8+8, `Aggregator::Sum`, so the factored filter
+//! applies), with the Proposition 6.1 pass as the update.
+//!
 //! Persists `BENCH_assign.json`: one record per leg with the measured
 //! distance-evaluation reduction and wall-clock speedup next to the
 //! committed floors (≥ 3x fewer distance evals, ≥ 2x wall-clock at
-//! k >= 64 — the ISSUE 9 acceptance criteria).
+//! k >= 64).
 
-use kr_core::assign::AssignEngine;
+use kr_core::aggregator::Aggregator;
+use kr_core::assign::{AssignEngine, PruneStats};
 use kr_core::kmeans::KMeans;
+use kr_core::kr_kmeans::prop61_update_pass_with;
+use kr_core::operator::CentroidIndexer;
 use kr_linalg::{ops, ExecCtx, Matrix, PruneMode};
 use std::time::Instant;
 
@@ -69,7 +76,7 @@ fn run_pass(
     data: &Matrix,
     init: &Matrix,
     mode: PruneMode,
-) -> (f64, kr_core::assign::PruneStats, Vec<usize>, Vec<u64>) {
+) -> (f64, PruneStats, Vec<usize>, Vec<u64>) {
     let n = data.nrows();
     let exec = ExecCtx::serial().with_prune_mode(mode);
     let mut engine = AssignEngine::new(&exec);
@@ -121,6 +128,78 @@ fn run_leg(leg: &str, n: usize, m: usize, k: usize, seed: u64) -> LegResult {
     }
 }
 
+/// [`run_pass`] for on-the-fly KR-+ assignment: `assign_otf` over the
+/// factor sets, then one Proposition 6.1 pass (its empty-set reseeding
+/// draws from a fixed seed, so both modes see the same trajectory).
+fn run_otf_pass(
+    data: &Matrix,
+    init: &[Matrix],
+    mode: PruneMode,
+) -> (f64, PruneStats, Vec<usize>, Vec<u64>) {
+    let n = data.nrows();
+    let exec = ExecCtx::serial().with_prune_mode(mode);
+    let indexer = CentroidIndexer::new(init.iter().map(Matrix::nrows).collect());
+    let mut engine = AssignEngine::new(&exec);
+    engine.begin_fit(data);
+    engine.begin_restart();
+    let mut sets = init.to_vec();
+    let mut labels = vec![0usize; n];
+    let mut dmin = vec![0.0f64; n];
+    let mut assign_secs = 0.0;
+    for it in 0..(WARMUP + MEASURED) {
+        let t0 = Instant::now();
+        engine.assign_otf(
+            data,
+            &sets,
+            &indexer,
+            Aggregator::Sum,
+            &mut labels,
+            &mut dmin,
+        );
+        let dt = t0.elapsed().as_secs_f64();
+        if it == WARMUP - 1 {
+            let _ = engine.take_stats();
+        }
+        if it >= WARMUP {
+            assign_secs += dt;
+        }
+        prop61_update_pass_with(data, &labels, &mut sets, Aggregator::Sum, 75, &exec);
+    }
+    let stats = engine.take_stats();
+    let dmin_bits: Vec<u64> = dmin.iter().map(|d| d.to_bits()).collect();
+    (assign_secs, stats, labels, dmin_bits)
+}
+
+/// The on-the-fly KR-+ leg: `h + h` protocentroids seeded from spread
+/// data points (set 0) and their deviations from the data mean (set 1),
+/// so the initial aggregations sit on the data.
+fn run_otf_leg(leg: &str, n: usize, m: usize, h: usize, seed: u64) -> LegResult {
+    let ds = kr_datasets::synthetic::blobs(n, m, h * h, 1.0, seed);
+    let mean = ds.data.col_means();
+    let step = n / (2 * h);
+    let anchors = Matrix::from_fn(h, m, |r, j| ds.data.get(2 * r * step, j));
+    let deviations = Matrix::from_fn(h, m, |r, j| ds.data.get((2 * r + 1) * step, j) - mean[j]);
+    let init = [anchors, deviations];
+    let (t_off, _, labels_off, bits_off) = run_otf_pass(&ds.data, &init, PruneMode::Off);
+    let (t_on, stats, labels_on, bits_on) = run_otf_pass(&ds.data, &init, PruneMode::On);
+    assert_eq!(labels_off, labels_on, "{leg}: pruning changed labels");
+    assert_eq!(bits_off, bits_on, "{leg}: pruning changed distance bits");
+    let k = h * h;
+    let dists_exhaustive = (n as u64) * (k as u64) * (MEASURED as u64);
+    LegResult {
+        leg: leg.to_string(),
+        n,
+        m,
+        k,
+        dists_exhaustive,
+        dists_computed: stats.dists_computed,
+        dists_skipped: stats.dists_skipped,
+        dist_reduction: dists_exhaustive as f64 / stats.dists_computed.max(1) as f64,
+        wall_speedup: t_off / t_on,
+        assign_ns_on: t_on / MEASURED as f64 * 1e9,
+    }
+}
+
 fn main() {
     println!("=== Assignment pruning: fig8 Lloyd loop, post-warmup iterations ===");
     println!(
@@ -134,6 +213,8 @@ fn main() {
         run_leg("hamerly_k100", kr_bench::scaled(8000, 1600), 20, 100, 71),
         // Larger k: the O(n) bound state must scale.
         run_leg("hamerly_k128", kr_bench::scaled(8000, 1600), 20, 128, 72),
+        // The batch_fit KR-x shape: on-the-fly Sum grid, factored filter.
+        run_otf_leg("kr_otf_sum_8x8", kr_bench::scaled(6000, 1200), 32, 8, 76),
     ];
     let mut records = Vec::new();
     for r in legs.iter() {

@@ -111,35 +111,41 @@ mod tests {
         // shared seed makes the common prefix identical.
         let _guard = alloc_counter::COUNTER_TEST_LOCK.lock().unwrap();
         let ds = kr_datasets::synthetic::blobs(600, 8, 16, 1.0, 74);
-        let allocs_for = |iters: usize| {
-            let before = alloc_counter::alloc_calls();
-            let model = KrKMeans::new(vec![8, 8])
-                .with_variant(KrVariant::MemoryEfficient)
-                .with_warm_start(false)
-                .with_n_init(1)
-                .with_tol(0.0)
-                .with_max_iter(iters)
-                .fit(&ds.data)
-                .unwrap();
-            std::hint::black_box(&model);
-            alloc_counter::alloc_calls() - before
-        };
-        let (short, long) = (4usize, 12usize);
-        let (a_short, a_long) = (allocs_for(short), allocs_for(long));
-        let extra = a_long.saturating_sub(a_short);
-        let per_iter = extra as f64 / (long - short) as f64;
-        // O(1) bound: independent of n = 600 and k = 64. A small
-        // constant headroom absorbs incidental fixed-size allocations
-        // (e.g. Vec growth inside pooled buffers on rare resize).
-        // Tightened from 40 when the bounds-gated AssignEngine landed:
-        // its point caches and bound state persist across iterations
-        // (and across restarts) in the Scratch arena, so pruned
-        // assignment costs the same ~16 calls/iter as the exhaustive
-        // path (dominated by the update step's per-set temporaries).
-        assert!(
-            per_iter <= 20.0,
-            "expected O(1) allocs per Lloyd iteration, got {per_iter:.1} \
-             ({a_short} allocs at max_iter={short}, {a_long} at max_iter={long})"
-        );
+        // Both variants: the on-the-fly sweep and the materialized grid
+        // (warm start off in both, so only the Lloyd loop is counted).
+        for variant in [KrVariant::MemoryEfficient, KrVariant::TimeEfficient] {
+            let allocs_for = |iters: usize| {
+                let before = alloc_counter::alloc_calls();
+                let model = KrKMeans::new(vec![8, 8])
+                    .with_variant(variant)
+                    .with_warm_start(false)
+                    .with_n_init(1)
+                    .with_tol(0.0)
+                    .with_max_iter(iters)
+                    .fit(&ds.data)
+                    .unwrap();
+                std::hint::black_box(&model);
+                alloc_counter::alloc_calls() - before
+            };
+            let (short, long) = (4usize, 12usize);
+            let (a_short, a_long) = (allocs_for(short), allocs_for(long));
+            let extra = a_long.saturating_sub(a_short);
+            let per_iter = extra as f64 / (long - short) as f64;
+            // O(1) bound: independent of n = 600 and k = 64. A small
+            // constant headroom absorbs incidental fixed-size allocations
+            // (e.g. Vec growth inside pooled buffers on rare resize).
+            // Tightened from 40 when the bounds-gated AssignEngine landed:
+            // its point caches and bound state persist across iterations
+            // (and across restarts) in the Scratch arena, so pruned
+            // assignment costs the same ~16 calls/iter as the exhaustive
+            // path (dominated by the update step's per-set temporaries).
+            // The factored filter's per-chunk buffers come from the same
+            // arena.
+            assert!(
+                per_iter <= 20.0,
+                "{variant:?}: expected O(1) allocs per Lloyd iteration, got {per_iter:.1} \
+                 ({a_short} allocs at max_iter={short}, {a_long} at max_iter={long})"
+            );
+        }
     }
 }

@@ -41,10 +41,56 @@
 //! shape measured, so they are not kept.
 //!
 //! Memory-efficient (on-the-fly) Khatri-Rao assignment uses the same
-//! single bound plus a per-candidate norm gate `d(x, c) ≥ |‖x‖ − ‖c‖|`,
-//! with per-factor drift combined per the aggregator. Pruning is on
-//! unless the context's [`kr_linalg::PruneMode`] (default from
-//! `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
+//! single bound, with per-factor drift combined per the aggregator.
+//! Pruning is on unless the context's [`kr_linalg::PruneMode`] (default
+//! from `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
+//!
+//! ### Factored filter
+//!
+//! A KR-+ centroid is `μ_c = θ_1^{c_1} + … + θ_p^{c_p}`, so
+//! `⟨x, μ_c⟩ = Σ_l ⟨x, θ_l^{c_l}⟩`: with the `Σ h_l` per-set dot
+//! products `s_l[j] = ⟨x, θ_l^j⟩` in hand, every one of the `∏ h_l`
+//! candidates gets the score
+//!
+//! ```text
+//! F_c = ‖x‖² + ‖μ_c‖² − 2·Σ_l s_l[c_l]
+//! ```
+//!
+//! in one branch-free pass (`‖μ_c‖²` carries the exact kernel's bits).
+//! `F_c` is not the kernel value `K_c` the exhaustive scan computes —
+//! it sums differently rounded terms — but `factored_error_bound`
+//! gives an additive `E ≥ |F_c − K_c|` (and `≥ |F_c − D_c|` against the
+//! true squared distance): the kernel error of both expressions, plus
+//! `γ`-style terms for the per-set dot products and for rounding
+//! `μ_c = fl(Σ_l θ_l)`, scaled by `‖x‖_max · Σ_l max_j ‖θ_l^j‖`, plus an
+//! absolute underflow floor; it is `+∞` (no skipping at all) unless
+//! every magnitude sits a factor 4 below overflow.
+//!
+//! A point that needs a scan evaluates its lowest-scoring candidate
+//! exactly; that value (or the exact distance to the previous
+//! assignment, whichever is lower, and then the running best) is the
+//! gate. Candidate `c` is skipped iff `F_c − E > gate`, which implies
+//! `K_c > gate ≥ final_min` — exactly the skip condition above, so
+//! labels and distances stay bitwise equal to the exhaustive scans.
+//! Survivors are evaluated in ascending order with the exact kernel
+//! expression of their path (the materialized grid row, or `μ_c`
+//! re-aggregated on the fly). The point's lower bound for the next
+//! iteration comes from the smallest score among the non-winning
+//! candidates.
+//!
+//! The filter applies to `Aggregator::Sum` grids that need fewer dot
+//! products than they have candidates (`Σ h_l < ∏ h_l`, so not 2+2 or
+//! `p = 1`), in both KR paths: the materialized grid
+//! ([`AssignEngine::assign_grid`]) rescans the points whose Hamerly
+//! bound fails through it, and the on-the-fly path
+//! ([`AssignEngine::assign_otf`]) scans the points its phase-1 Hamerly
+//! decision leaves open point by point through it, with candidate norms
+//! from an `O(k)`-scalar pre-pass (no `k × m` grid is stored). The
+//! `Product` aggregator does not factor (`⟨x, θ_1 ∘ θ_2⟩` does not split
+//! into per-set dot products) and keeps the tuple sweep, as do the Sum
+//! shapes the filter does not apply to. Only that sweep uses the
+//! per-candidate norm gate `d(x, c) ≥ |‖x‖ − ‖c‖|`, so the per-point norm
+//! bounds it reads are built on its first pass, not for every fit.
 //!
 //! All bound state lives in the [`kr_linalg::Scratch`] arena of the
 //! engine's `ExecCtx`, so steady-state Lloyd iterations stay O(1)
@@ -59,7 +105,7 @@
 
 use crate::aggregator::Aggregator;
 use crate::operator::{aggregate_tuple_into, CentroidIndexer};
-use kr_linalg::{ops, parallel, ExecCtx, Matrix, PruneMode, Scratch};
+use kr_linalg::{ops, parallel, simd, ExecCtx, Matrix, PruneMode, Scratch};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-fit pruning counters, exposed on the fitted models.
@@ -69,7 +115,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the bitwise contract (labels/centroids/inertia are).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Exact kernel distance evaluations performed.
+    /// Exact kernel distance evaluations performed. The factored
+    /// filter's per-set dot products `⟨x, θ_l^j⟩` are not distances and
+    /// are not counted here.
     pub dists_computed: u64,
     /// Candidate evaluations skipped under a certified bound.
     pub dists_skipped: u64,
@@ -164,6 +212,42 @@ fn kernel_error_bound(m: usize, max_x_sq: f64, max_c_sq: f64) -> f64 {
     let c = if max_c_sq > 0.0 { max_c_sq } else { 0.0 };
     let cross = (x * c).sqrt();
     (m as f64 + 64.0) * 2.0_f64.powi(-48) * (x + c + 2.0 * cross)
+}
+
+/// Additive bound `E` on both `|F_c − K_c|` and `|F_c − D_c|` for the
+/// factored score `F_c = ‖x‖² + ‖μ_c‖² − 2·Σ_l ⟨x, θ_l^{c_l}⟩` of a
+/// `p`-set Sum grid (see the module docs), where `K_c` is the exact
+/// kernel value and `D_c` the true squared distance to the computed
+/// centroid. Two kernel error terms (one per expression, against
+/// `D_c`), plus `γ`-style terms for the `p` per-set dot products, their
+/// sum, and the rounding of `μ_c = fl(Σ_l θ_l)`, each at most
+/// `‖x‖·Σ_l ‖θ_l‖` in size (`theta_sum` bounds `Σ_l max_j ‖θ_l^j‖`), with
+/// the same headroom constant, plus an absolute floor for subnormal
+/// rounding. Returns `+∞` — no skips — when any input is NaN or
+/// infinite, or when an intermediate could come within a factor 4 of
+/// overflow.
+fn factored_error_bound(m: usize, p: usize, max_x_sq: f64, max_c_sq: f64, theta_sum: f64) -> f64 {
+    let x = if max_x_sq > 0.0 { max_x_sq.sqrt() } else { 0.0 };
+    let cross = x * theta_sum;
+    if !(4.0 * (max_x_sq + max_c_sq + 2.0 * cross)).is_finite() {
+        return f64::INFINITY;
+    }
+    let g = (m + p) as f64 + 64.0;
+    2.0 * kernel_error_bound(m, max_x_sq, max_c_sq)
+        + g * (2.0_f64.powi(-47) * cross + f64::MIN_POSITIVE)
+}
+
+/// Largest entry of `v` (0 for an empty slice), or NaN if any entry is
+/// NaN, so a non-finite input disables the bound it feeds instead of
+/// dropping out of the maximum.
+fn max_or_nan(v: &[f64]) -> f64 {
+    let mut mx = 0.0;
+    for &x in v {
+        if x > mx || x.is_nan() {
+            mx = x;
+        }
+    }
+    mx
 }
 
 /// Lower bound on the **true** distance given a computed squared
@@ -337,6 +421,8 @@ impl AssignEngine {
         self.ready = false;
         let scratch = self.exec.scratch().clone();
         scratch.put_f64(std::mem::take(&mut self.x_norms));
+        scratch.put_f64(std::mem::take(&mut self.x_lo));
+        scratch.put_f64(std::mem::take(&mut self.x_hi));
         let mut xn = scratch.take_f64_uninit(0);
         data.row_sq_norms_into(&mut xn);
         self.x_norms = xn;
@@ -347,11 +433,20 @@ impl AssignEngine {
             }
         }
         self.max_x_sq = mx;
-        resize_buf(&scratch, &mut self.x_lo, n);
-        resize_buf(&scratch, &mut self.x_hi, n);
-        for i in 0..n {
-            self.x_lo[i] = norm_lower(self.x_norms[i], m);
-            self.x_hi[i] = norm_upper(self.x_norms[i], m);
+    }
+
+    /// Builds the per-point norm bounds of the tuple sweep's norm gate,
+    /// the only reader, on its first pass over the current dataset.
+    fn ensure_norm_bounds(&mut self) {
+        if self.x_lo.len() == self.n {
+            return;
+        }
+        let scratch = self.exec.scratch().clone();
+        resize_buf(&scratch, &mut self.x_lo, self.n);
+        resize_buf(&scratch, &mut self.x_hi, self.n);
+        for (i, &xn) in self.x_norms.iter().enumerate() {
+            self.x_lo[i] = norm_lower(xn, self.m);
+            self.x_hi[i] = norm_upper(xn, self.m);
         }
     }
 
@@ -385,6 +480,41 @@ impl AssignEngine {
         labels: &mut [usize],
         dmin: &mut [f64],
     ) {
+        self.assign_materialized(data, centroids, None, labels, dmin);
+    }
+
+    /// Assignment against a materialized Khatri-Rao grid (the
+    /// time-efficient `KrKMeans` variant): `grid` must be
+    /// `khatri_rao(sets, agg)`. Bitwise identical to `exhaustive_dense`
+    /// on `grid` in every [`PruneMode`].
+    ///
+    /// The Hamerly pass is [`AssignEngine::assign_dense`]'s; `sets` and
+    /// `agg` are read to rescan the points whose bound fails through the
+    /// factored filter (module docs) when it applies — a Sum grid with
+    /// `Σ h_l < ∏ h_l` — and through the full scan otherwise.
+    pub fn assign_grid(
+        &mut self,
+        data: &Matrix,
+        grid: &Matrix,
+        sets: &[Matrix],
+        agg: Aggregator,
+        labels: &mut [usize],
+        dmin: &mut [f64],
+    ) {
+        let factors = filter_applies(sets, agg).then_some(sets);
+        self.assign_materialized(data, grid, factors, labels, dmin);
+    }
+
+    /// The Hamerly pass over a dense centroid matrix; `sets` (a Sum grid
+    /// the filter applies to) routes every rescan through the filter.
+    fn assign_materialized(
+        &mut self,
+        data: &Matrix,
+        centroids: &Matrix,
+        sets: Option<&[Matrix]>,
+        labels: &mut [usize],
+        dmin: &mut [f64],
+    ) {
         debug_assert_eq!(data.shape(), (self.n, self.m), "begin_fit saw other data");
         debug_assert_eq!(centroids.ncols(), self.m);
         let k = centroids.nrows();
@@ -406,6 +536,7 @@ impl AssignEngine {
         }
         let err = kernel_error_bound(self.m, self.max_x_sq, max_c);
         let m = self.m;
+        let fz = sets.map(|s| Factored::new(s, &c_norms, self.max_x_sq, m));
         if self.ready {
             let mut delta_max = 0.0;
             for c in 0..k {
@@ -418,9 +549,9 @@ impl AssignEngine {
                 }
             }
             self.stats.add(0, 0, k as u64);
-            self.hamerly_pass(data, centroids, &c_norms, err, delta_max);
+            self.hamerly_pass(data, centroids, &c_norms, err, delta_max, fz.as_ref());
         } else {
-            self.init_dense_pass(data, centroids, &c_norms, err);
+            self.init_dense_pass(data, centroids, &c_norms, err, fz.as_ref());
             self.ready = true;
         }
         for c in 0..k {
@@ -431,22 +562,6 @@ impl AssignEngine {
             dmin[i] = row[1];
         }
         scratch.put_f64(c_norms);
-    }
-
-    /// Assignment against a materialized Khatri-Rao grid (the
-    /// time-efficient `KrKMeans` variant). The grid is a dense centroid
-    /// matrix, so this is [`AssignEngine::assign_dense`]; `sets` and
-    /// `agg` are accepted for callers that hold them and are not read.
-    pub fn assign_grid(
-        &mut self,
-        data: &Matrix,
-        grid: &Matrix,
-        _sets: &[Matrix],
-        _agg: Aggregator,
-        labels: &mut [usize],
-        dmin: &mut [f64],
-    ) {
-        self.assign_dense(data, grid, labels, dmin);
     }
 
     fn ensure_dense_session(&mut self, k: usize) {
@@ -464,26 +579,50 @@ impl AssignEngine {
         resize_buf(&scratch, &mut self.prev, k * self.m);
     }
 
-    /// First assignment of a session: full scans (identical to the
-    /// exhaustive path) that also seed each point's lower bound.
-    fn init_dense_pass(&mut self, data: &Matrix, centroids: &Matrix, c_norms: &[f64], err: f64) {
+    /// First assignment of a session: full (or filtered) scans, equal to
+    /// the exhaustive path, that also seed each point's lower bound.
+    fn init_dense_pass(
+        &mut self,
+        data: &Matrix,
+        centroids: &Matrix,
+        c_norms: &[f64],
+        err: f64,
+        fz: Option<&Factored>,
+    ) {
         let x_norms = &self.x_norms;
         let stats = &self.stats;
+        let scratch = self.exec.scratch();
         parallel::map_rows_into(
             &self.exec,
             &mut self.state,
             HAMERLY_STRIDE,
             1,
             |start, chunk| {
+                let mut bufs = fz.map(|f| FilterBufs::take(scratch, f, 0, 0));
                 let mut comp = 0u64;
+                let mut skip = 0u64;
                 let mut upd = 0u64;
                 for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
                     let i = start + off;
-                    comp +=
-                        rescan_point(row, data.row(i), x_norms[i], centroids, c_norms, err, None);
+                    let filter = fz.zip(bufs.as_mut());
+                    let (c, s) = rescan(
+                        row,
+                        data.row(i),
+                        x_norms[i],
+                        centroids,
+                        c_norms,
+                        err,
+                        None,
+                        filter,
+                    );
+                    comp += c;
+                    skip += s;
                     upd += 1;
                 }
-                stats.add(comp, 0, upd);
+                stats.add(comp, skip, upd);
+                if let Some(b) = bufs {
+                    b.put(scratch);
+                }
             },
         );
     }
@@ -501,16 +640,19 @@ impl AssignEngine {
         c_norms: &[f64],
         err: f64,
         delta_max: f64,
+        fz: Option<&Factored>,
     ) {
         let k = self.k;
         let x_norms = &self.x_norms;
         let stats = &self.stats;
+        let scratch = self.exec.scratch();
         parallel::map_rows_into(
             &self.exec,
             &mut self.state,
             HAMERLY_STRIDE,
             1,
             |start, chunk| {
+                let mut bufs = fz.map(|f| FilterBufs::take(scratch, f, 0, 0));
                 let mut comp = 0u64;
                 let mut skip = 0u64;
                 let mut upd = 0u64;
@@ -530,12 +672,39 @@ impl AssignEngine {
                         skip += k as u64 - 1;
                         continue;
                     }
-                    comp += rescan_point(row, x, xn, centroids, c_norms, err, Some((a, d_a)));
+                    let filter = fz.zip(bufs.as_mut());
+                    let (c, s) =
+                        rescan(row, x, xn, centroids, c_norms, err, Some((a, d_a)), filter);
+                    comp += c;
+                    skip += s;
                     upd += 1;
                 }
                 stats.add(comp, skip, upd);
+                if let Some(b) = bufs {
+                    b.put(scratch);
+                }
             },
         );
+    }
+}
+
+/// One point's rescan into its Hamerly row: [`rescan_point`], or through
+/// the factored filter when the grid has one. Returns the exact
+/// evaluations and the filter's skips.
+#[allow(clippy::too_many_arguments)]
+fn rescan(
+    row: &mut [f64],
+    x: &[f64],
+    xn: f64,
+    centroids: &Matrix,
+    c_norms: &[f64],
+    err: f64,
+    known: Option<(usize, f64)>,
+    filter: Option<(&Factored, &mut FilterBufs)>,
+) -> (u64, u64) {
+    match filter {
+        Some((fz, bufs)) => fz.rescan_dense(row, x, xn, centroids, known, bufs),
+        None => (rescan_point(row, x, xn, centroids, c_norms, err, known), 0),
     }
 }
 
@@ -580,19 +749,281 @@ fn rescan_point(
     comp
 }
 
+/// The smallest and second-smallest entries of `v` as a multiset (`+∞`
+/// where there are none; NaNs never count). Four independent lanes, so
+/// the compare chain is branch-free and a quarter as long.
+fn two_smallest(v: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::INFINITY; 4];
+    let mut push = |l: usize, f: f64| {
+        let (small, large) = if f < lo[l] { (f, lo[l]) } else { (lo[l], f) };
+        lo[l] = small;
+        if large < hi[l] {
+            hi[l] = large;
+        }
+    };
+    let mut chunks = v.chunks_exact(4);
+    for ch in &mut chunks {
+        for (l, &f) in ch.iter().enumerate() {
+            push(l, f);
+        }
+    }
+    for &f in chunks.remainder() {
+        push(0, f);
+    }
+    let (mut f1, mut f2) = (lo[0], hi[0]);
+    for l in 1..4 {
+        let (small, large) = if lo[l] < f1 { (lo[l], f1) } else { (f1, lo[l]) };
+        let second = if hi[l] < large { hi[l] } else { large };
+        f1 = small;
+        if second < f2 {
+            f2 = second;
+        }
+    }
+    (f1, f2)
+}
+
+/// Whether the factored filter applies: a Sum grid whose `Σ h_l` per-set
+/// dot products are fewer than its `∏ h_l` candidates.
+fn filter_applies(sets: &[Matrix], agg: Aggregator) -> bool {
+    if agg != Aggregator::Sum {
+        return false;
+    }
+    let mut sum = 0usize;
+    let mut prod = 1usize;
+    for s in sets {
+        sum += s.nrows();
+        prod = prod.saturating_mul(s.nrows());
+    }
+    sum < prod
+}
+
+/// The factored filter's view of one `Aggregator::Sum` grid: the factor
+/// sets, every candidate's squared norm with the exact kernel's bits,
+/// and the error term `E` (see the module docs).
+struct Factored<'a> {
+    sets: &'a [Matrix],
+    c_norms: &'a [f64],
+    total_h: usize,
+    /// Largest candidate squared norm, NaN if any is NaN.
+    max_c_sq: f64,
+    e: f64,
+}
+
+/// Per-chunk working buffers of the factored filter — the `Σ h_l` dot
+/// products, the `k` scores, and (on the fly only) one aggregated
+/// centroid and one tuple — drawn from the engine's [`Scratch`] arena
+/// so steady-state passes allocate nothing.
+struct FilterBufs {
+    dots: Vec<f64>,
+    scores: Vec<f64>,
+    mu: Vec<f64>,
+    tuple: Vec<usize>,
+}
+
+impl FilterBufs {
+    fn take(scratch: &Scratch, fz: &Factored, mu_len: usize, tuple_len: usize) -> Self {
+        FilterBufs {
+            dots: scratch.take_f64_uninit(fz.total_h),
+            scores: scratch.take_f64_uninit(fz.c_norms.len()),
+            mu: scratch.take_f64_uninit(mu_len),
+            tuple: scratch.take_usize(tuple_len),
+        }
+    }
+
+    /// Returns the buffers in reverse order of [`FilterBufs::take`], so
+    /// the next pass pops each one back into the same role.
+    fn put(self, scratch: &Scratch) {
+        scratch.put_usize(self.tuple);
+        scratch.put_f64(self.mu);
+        scratch.put_f64(self.scores);
+        scratch.put_f64(self.dots);
+    }
+}
+
+/// Outcome of one filtered scan of a point.
+struct FilterScan {
+    label: usize,
+    /// The exact value of the winner (as the caller's `eval` returns it).
+    dist: f64,
+    /// Certified true-distance lower bound on every other candidate.
+    lower: f64,
+    computed: u64,
+    skipped: u64,
+}
+
+impl<'a> Factored<'a> {
+    /// The filter for `sets` (a Sum grid, row-major flat order) whose
+    /// candidate squared norms are `c_norms`, against data whose largest
+    /// squared row norm is `max_x_sq`.
+    fn new(sets: &'a [Matrix], c_norms: &'a [f64], max_x_sq: f64, m: usize) -> Self {
+        let mut total_h = 0;
+        let mut k = 1;
+        let mut theta_sum = 0.0;
+        for s in sets {
+            total_h += s.nrows();
+            k *= s.nrows();
+            let mut mx = 0.0;
+            for r in s.rows_iter() {
+                let v = ops::sq_norm(r);
+                if v > mx || v.is_nan() {
+                    mx = v;
+                }
+            }
+            theta_sum += if mx.is_nan() { mx } else { norm_upper(mx, m) };
+        }
+        debug_assert_eq!(c_norms.len(), k, "one norm per grid candidate");
+        let max_c_sq = max_or_nan(c_norms);
+        Factored {
+            sets,
+            c_norms,
+            total_h,
+            max_c_sq,
+            e: factored_error_bound(m, sets.len(), max_x_sq, max_c_sq, theta_sum),
+        }
+    }
+
+    /// Writes `s_l[j] = ⟨x, θ_l^j⟩` into `dots` and the score `F_c` of
+    /// every candidate into `scores`. The per-set sums are expanded set
+    /// by set in place (row-major flat order, left to right), back to
+    /// front so every prefix sum is read before its slot is overwritten.
+    /// The dot products use the lane kernels in either `KernelMode`:
+    /// `E` holds for any summation order, and scores only decide skips,
+    /// never an output bit.
+    fn score(&self, x: &[f64], xn: f64, dots: &mut [f64], scores: &mut [f64]) {
+        let mut off = 0;
+        for s in self.sets {
+            simd::dot_block(x, s.as_slice(), x.len(), 0, &mut dots[off..off + s.nrows()]);
+            off += s.nrows();
+        }
+        let h0 = self.sets[0].nrows();
+        scores[..h0].copy_from_slice(&dots[..h0]);
+        let (mut len, mut off) = (h0, h0);
+        for s in &self.sets[1..] {
+            let h = s.nrows();
+            let d = &dots[off..off + h];
+            for a in (0..len).rev() {
+                let prefix = scores[a];
+                for (o, &dj) in scores[a * h..(a + 1) * h].iter_mut().zip(d) {
+                    *o = prefix + dj;
+                }
+            }
+            len *= h;
+            off += h;
+        }
+        for (f, &cn) in scores.iter_mut().zip(self.c_norms) {
+            *f = xn + cn - 2.0 * *f;
+        }
+    }
+
+    /// Filtered argmin of one point. `eval(c)` is the caller's exact
+    /// kernel expression (the value the exhaustive scan compares);
+    /// `known` is a candidate whose value was already computed with it.
+    /// Returns the exhaustive scan's strict-`<` ascending argmin and its
+    /// value.
+    fn scan(
+        &self,
+        x: &[f64],
+        xn: f64,
+        known: Option<(usize, f64)>,
+        bufs: &mut FilterBufs,
+        mut eval: impl FnMut(usize, &mut [f64], &mut [usize]) -> f64,
+    ) -> FilterScan {
+        let FilterBufs {
+            dots,
+            scores,
+            mu,
+            tuple,
+        } = bufs;
+        self.score(x, xn, dots, scores);
+        let (f1, f2) = two_smallest(scores);
+        let c1 = scores.iter().position(|&f| f == f1).unwrap_or(0);
+        let (ka, kd) = known.unwrap_or((usize::MAX, f64::INFINITY));
+        let mut computed = 0u64;
+        let d1 = if c1 == ka {
+            kd
+        } else {
+            computed += 1;
+            eval(c1, mu, tuple)
+        };
+        // Both values are exact kernel values of real candidates, so the
+        // final minimum is at most either; a NaN gate skips nothing.
+        let mut gate = if kd < d1 { kd } else { d1 };
+        let e = self.e;
+        let (mut touched, mut c1_seen, mut ka_seen) = (0u64, false, false);
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (c, &f) in scores.iter().enumerate() {
+            if f - e > gate {
+                continue;
+            }
+            touched += 1;
+            let d = if c == c1 {
+                c1_seen = true;
+                d1
+            } else if c == ka {
+                ka_seen = true;
+                kd
+            } else {
+                computed += 1;
+                eval(c, mu, tuple)
+            };
+            if d < best_d {
+                best_d = d;
+                best = c;
+                if d < gate {
+                    gate = d;
+                }
+            }
+        }
+        // Skips count the candidates never evaluated: c1 and the known
+        // candidate were, even when the loop passed them over.
+        touched += u64::from(!c1_seen) + u64::from(ka < scores.len() && ka != c1 && !ka_seen);
+        let runner = if best == c1 { f2 } else { f1 };
+        FilterScan {
+            label: best,
+            dist: best_d,
+            lower: dist_lower(runner, e),
+            computed,
+            skipped: scores.len() as u64 - touched,
+        }
+    }
+
+    /// [`rescan_point`] through the filter, for a materialized grid.
+    fn rescan_dense(
+        &self,
+        row: &mut [f64],
+        x: &[f64],
+        xn: f64,
+        grid: &Matrix,
+        known: Option<(usize, f64)>,
+        bufs: &mut FilterBufs,
+    ) -> (u64, u64) {
+        let c_norms = self.c_norms;
+        let s = self.scan(x, xn, known, bufs, |c, _, _| {
+            xn + c_norms[c] - 2.0 * ops::dot(x, grid.row(c))
+        });
+        row[0] = s.label as f64;
+        row[1] = s.dist.max(0.0);
+        row[2] = s.lower;
+        (s.computed, s.skipped)
+    }
+}
+
 impl AssignEngine {
     /// Assignment over the *implicit* Khatri-Rao grid (the
     /// memory-efficient `KrKMeans` variant): candidates are aggregated
-    /// tuple-by-tuple, never materialized. Bitwise identical to
+    /// one at a time, never materialized. Bitwise identical to
     /// `exhaustive_otf` in every [`PruneMode`].
     ///
-    /// Pruning here is the single-bound structure plus a per-candidate
-    /// norm gate (`d(x,c) ≥ |‖x‖ − ‖c‖|`): points whose bound certifies
-    /// their previous assignment skip the whole tuple sweep; the rest
-    /// are norm-gated per candidate against the running best. Drift is
+    /// Pruning here is the single-bound structure: points whose bound
+    /// certifies their previous assignment skip the scan. Drift is
     /// measured per factor set and combined per the aggregator
     /// (triangle inequality for sums, a telescoping product bound for
-    /// Hadamard products).
+    /// Hadamard products). The rest go through the factored filter
+    /// point by point where it applies (module docs), and otherwise
+    /// through a tuple sweep that norm-gates each candidate
+    /// (`d(x,c) ≥ |‖x‖ − ‖c‖|`) against the running best.
     pub fn assign_otf(
         &mut self,
         data: &Matrix,
@@ -626,7 +1057,21 @@ impl AssignEngine {
         self.ensure_otf_session(k, sets);
         let scratch = self.exec.scratch().clone();
         let mut mu = scratch.take_f64(self.m);
-        if self.ready {
+        if !self.ready {
+            for row in self.state.chunks_exact_mut(OTF_STRIDE) {
+                row[0] = f64::INFINITY; // running best (clamped)
+                row[1] = 0.0; // label
+                row[2] = f64::INFINITY; // runner-up
+                row[3] = f64::INFINITY; // min lower bound over skipped
+                row[4] = 0.0; // lower bound (filled by finalize)
+                row[5] = f64::INFINITY; // distance to previous label
+                row[6] = 0.0; // decided flag
+                row[7] = -1.0; // previous label (none)
+            }
+        }
+        if filter_applies(sets, agg) {
+            self.otf_filtered(data, sets, indexer, &mut mu, &scratch);
+        } else if self.ready {
             let delta_max = self.otf_delta_max(sets, agg);
             let radius = {
                 let r = if self.max_c_sq > 0.0 {
@@ -641,30 +1086,88 @@ impl AssignEngine {
             self.otf_scan(data, sets, indexer, agg, err, &mut mu);
             self.otf_finalize(err);
         } else {
-            for row in self.state.chunks_exact_mut(OTF_STRIDE) {
-                row[0] = f64::INFINITY; // running best (clamped)
-                row[1] = 0.0; // label
-                row[2] = f64::INFINITY; // runner-up
-                row[3] = f64::INFINITY; // min lower bound over skipped
-                row[4] = 0.0; // lower bound (filled by finalize)
-                row[5] = f64::INFINITY; // distance to previous label
-                row[6] = 0.0; // decided flag
-                row[7] = -1.0; // previous label (none)
-            }
             // err is unknown before the first sweep (it needs the max
             // candidate norm); INFINITY disables every gate, making the
             // init sweep exhaustive while it measures and seeds bounds.
             self.otf_scan(data, sets, indexer, agg, f64::INFINITY, &mut mu);
             let err = kernel_error_bound(self.m, self.max_x_sq, self.max_c_sq);
             self.otf_finalize(err);
-            self.ready = true;
         }
+        self.ready = true;
         self.snapshot_sets(sets);
         for (i, row) in self.state.chunks_exact(OTF_STRIDE).enumerate() {
             dmin[i] = row[0];
             labels[i] = row[1] as usize;
         }
         scratch.put_f64(mu);
+    }
+
+    /// The on-the-fly pass of a Sum grid the factored filter applies to:
+    /// an `O(k)`-scalar pre-pass for the candidate norms (which also
+    /// gives the exact largest norm, so the first pass filters too), the
+    /// phase-1 Hamerly decision from the second pass on, then a
+    /// point-major filtered scan of the points left undecided.
+    fn otf_filtered(
+        &mut self,
+        data: &Matrix,
+        sets: &[Matrix],
+        indexer: &CentroidIndexer,
+        mu: &mut [f64],
+        scratch: &Scratch,
+    ) {
+        let (k, m, p) = (self.k, self.m, sets.len());
+        let agg = Aggregator::Sum;
+        let mut c_norms = scratch.take_f64_uninit(k);
+        indexer.for_each_tuple(|flat, tuple| {
+            aggregate_tuple_into(mu, sets, tuple, agg);
+            c_norms[flat] = ops::sq_norm(mu);
+        });
+        let fz = Factored::new(sets, &c_norms, self.max_x_sq, m);
+        self.max_c_sq = fz.max_c_sq;
+        if self.ready {
+            let delta_max = self.otf_delta_max(sets, agg);
+            let err = kernel_error_bound(m, self.max_x_sq, fz.max_c_sq);
+            self.otf_phase1_decide(data, sets, indexer, agg, delta_max, err, mu, scratch);
+        }
+        let x_norms = &self.x_norms;
+        let stats = &self.stats;
+        parallel::map_rows_into(
+            &self.exec,
+            &mut self.state,
+            OTF_STRIDE,
+            1,
+            |start, chunk| {
+                let mut bufs = FilterBufs::take(scratch, &fz, m, p);
+                let mut comp = 0u64;
+                let mut skip = 0u64;
+                let mut upd = 0u64;
+                for (off, row) in chunk.chunks_exact_mut(OTF_STRIDE).enumerate() {
+                    if row[6] != 0.0 {
+                        continue;
+                    }
+                    let i = start + off;
+                    let x = data.row(i);
+                    let xn = x_norms[i];
+                    // Phase 1 left the exact (clamped) distance to the
+                    // previous label: the same expression, same bits.
+                    let known = (row[7] >= 0.0).then_some((row[7] as usize, row[5]));
+                    let s = fz.scan(x, xn, known, &mut bufs, |c, mu, tuple| {
+                        indexer.to_tuple_into(c, tuple);
+                        aggregate_tuple_into(mu, sets, tuple, agg);
+                        (xn + fz.c_norms[c] - 2.0 * ops::dot(x, mu)).max(0.0)
+                    });
+                    row[0] = s.dist;
+                    row[1] = s.label as f64;
+                    row[4] = s.lower;
+                    comp += s.computed;
+                    skip += s.skipped;
+                    upd += 1;
+                }
+                stats.add(comp, skip, upd);
+                bufs.put(scratch);
+            },
+        );
+        scratch.put_f64(c_norms);
     }
 
     fn ensure_otf_session(&mut self, k: usize, sets: &[Matrix]) {
@@ -856,6 +1359,7 @@ impl AssignEngine {
         err: f64,
         mu: &mut [f64],
     ) {
+        self.ensure_norm_bounds();
         let m = self.m;
         let x_norms = &self.x_norms;
         let x_lo = &self.x_lo;
@@ -1311,6 +1815,98 @@ mod tests {
         assert!(drift_upper(25.0) >= 5.0);
     }
 
+    /// The factored score's `E` bounds the measured gap to the exact
+    /// kernel value and to the directly summed squared distance, under
+    /// the cancellation of offsets up to 1e6 with spreads from 1e-6 to
+    /// 1e6, for p = 2 and 3; and it disables skipping on non-finite or
+    /// near-overflow inputs.
+    #[test]
+    fn factored_error_bound_covers_measured_gap() {
+        let val = |i: usize, j: usize, salt: usize| {
+            ((i * 7 + j * 3 + salt * 5) % 11) as f64 / 5.0 - 1.0
+                + ((i * j + salt) % 3) as f64 * 0.123
+        };
+        let mut worst = 0.0f64;
+        for hs in [vec![3usize, 4], vec![2, 3, 2]] {
+            for m in [1usize, 3, 8] {
+                for offset in [0.0, 1.0, 1e3, 1e6] {
+                    for spread in [1e-6, 1e-2, 1.0, 1e3, 1e6] {
+                        let data = Matrix::from_fn(12, m, |i, j| offset + spread * val(i, j, 0));
+                        let sets: Vec<Matrix> = hs
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &h)| {
+                                let share = [0.3, 0.7, 0.0][l] * offset;
+                                Matrix::from_fn(h, m, |i, j| share + spread * val(i, j, l + 1))
+                            })
+                            .collect();
+                        let grid = crate::operator::khatri_rao(&sets, Aggregator::Sum).unwrap();
+                        let (mut c_norms, mut x_norms) = (Vec::new(), Vec::new());
+                        grid.row_sq_norms_into(&mut c_norms);
+                        data.row_sq_norms_into(&mut x_norms);
+                        let fz = Factored::new(&sets, &c_norms, max_or_nan(&x_norms), m);
+                        assert!(fz.e.is_finite() && fz.e > 0.0);
+                        let mut dots = vec![0.0; fz.total_h];
+                        let mut scores = vec![0.0; grid.nrows()];
+                        for (x, &xn) in data.rows_iter().zip(x_norms.iter()) {
+                            fz.score(x, xn, &mut dots, &mut scores);
+                            for (c, &f) in scores.iter().enumerate() {
+                                let kc = xn + c_norms[c] - 2.0 * ops::dot(x, grid.row(c));
+                                let dc = ops::sqdist(x, grid.row(c));
+                                let gap = (f - kc).abs().max((f - dc).abs());
+                                assert!(
+                                    gap <= fz.e,
+                                    "hs {hs:?} m {m} offset {offset:e} spread {spread:e}: \
+                                     |F − K| or |F − D| = {gap:e} > E = {:e}",
+                                    fz.e
+                                );
+                                worst = worst.max(gap / fz.e);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The gaps were real (cancellation happened), yet E held.
+        assert!(worst > 0.0);
+        assert_eq!(
+            factored_error_bound(4, 2, f64::NAN, 1.0, 1.0),
+            f64::INFINITY
+        );
+        assert_eq!(
+            factored_error_bound(4, 2, 1.0, 1.0, f64::INFINITY),
+            f64::INFINITY
+        );
+        assert_eq!(factored_error_bound(4, 2, 1e308, 1.0, 1.0), f64::INFINITY);
+        assert!(factored_error_bound(4, 2, 0.0, 0.0, 0.0) > 0.0);
+        assert!(factored_error_bound(4, 2, 9.0, 4.0, 5.0) >= 2.0 * kernel_error_bound(4, 9.0, 4.0));
+        assert!(max_or_nan(&[1.0, f64::NAN, 3.0]).is_nan());
+        assert_eq!(max_or_nan(&[1.0, 3.0, 2.0]), 3.0);
+    }
+
+    /// The four-lane two-smallest matches a sort, with duplicates, NaNs
+    /// (never counted) and lengths that leave a remainder.
+    #[test]
+    fn two_smallest_matches_sort() {
+        for len in 0..12 {
+            for seed in 0..8usize {
+                let v: Vec<f64> = (0..len)
+                    .map(|i| match (i * 7 + seed * 3) % 9 {
+                        0 => f64::NAN,
+                        r => (r % 5) as f64 - (seed % 3) as f64,
+                    })
+                    .collect();
+                let mut sorted: Vec<f64> = v.iter().copied().filter(|f| !f.is_nan()).collect();
+                sorted.sort_by(f64::total_cmp);
+                let want = (
+                    sorted.first().copied().unwrap_or(f64::INFINITY),
+                    sorted.get(1).copied().unwrap_or(f64::INFINITY),
+                );
+                assert_eq!(two_smallest(&v), want, "{v:?}");
+            }
+        }
+    }
+
     #[test]
     fn stats_merge_and_ratio() {
         let mut a = PruneStats {
@@ -1446,13 +2042,21 @@ mod tests {
         }
     }
 
-    /// Drives the on-the-fly KR engine over drifting factor sets and
-    /// pins it bitwise to the exhaustive tuple sweep, both aggregators.
+    /// Drives both KR engines — on the fly, and on the materialized grid
+    /// — over drifting factor sets and pins them bitwise to the
+    /// exhaustive scans, both aggregators. The Sum 3+4 grid goes through
+    /// the factored filter; 2+2 and the Product grid do not.
     #[test]
-    fn otf_engine_matches_exhaustive_bitwise() {
+    fn kr_engines_match_exhaustive_bitwise() {
         let n = 40;
         let m = 3;
         let data = Matrix::from_fn(n, m, |i, j| ((i * 11 + j * 5) % 19) as f64 * 0.3);
+        let pair = |h: usize| Matrix::zeros(h, m);
+        assert!(!filter_applies(&[pair(2), pair(2)], Aggregator::Sum));
+        assert!(filter_applies(
+            &[pair(2), pair(2), pair(2)],
+            Aggregator::Sum
+        ));
         for agg in [Aggregator::Sum, Aggregator::Product] {
             let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
             let indexer = CentroidIndexer::new(vec![3, 4]);
@@ -1460,18 +2064,28 @@ mod tests {
                 Matrix::from_fn(3, m, |i, j| ((i * 2 + j) % 5) as f64 * 0.7 + 0.1),
                 Matrix::from_fn(4, m, |i, j| ((i + j * 3) % 7) as f64 * 0.4 + 0.2),
             ];
-            let mut engine = AssignEngine::new(&exec);
-            engine.begin_fit(&data);
+            assert_eq!(filter_applies(&sets, agg), agg == Aggregator::Sum);
+            let mut otf = AssignEngine::new(&exec);
+            otf.begin_fit(&data);
+            let mut grid_engine = AssignEngine::new(&exec);
+            grid_engine.begin_fit(&data);
             let mut labels = vec![0usize; n];
             let mut dmin = vec![0.0f64; n];
             let mut rl = vec![0usize; n];
             let mut rd = vec![0.0f64; n];
             for it in 0..5 {
-                engine.assign_otf(&data, &sets, &indexer, agg, &mut labels, &mut dmin);
+                otf.assign_otf(&data, &sets, &indexer, agg, &mut labels, &mut dmin);
                 exhaustive_otf(&data, &sets, &indexer, agg, &mut rl, &mut rd, &exec, None);
-                assert_eq!(labels, rl, "agg {agg:?} iter {it}");
+                assert_eq!(labels, rl, "otf {agg:?} iter {it}");
                 for (i, (a, b)) in dmin.iter().zip(rd.iter()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "agg {agg:?} iter {it} point {i}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "otf {agg:?} iter {it} point {i}");
+                }
+                let grid = crate::operator::khatri_rao(&sets, agg).unwrap();
+                grid_engine.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
+                exhaustive_dense(&data, &grid, &mut rl, &mut rd, &exec, None);
+                assert_eq!(labels, rl, "grid {agg:?} iter {it}");
+                for (i, (a, b)) in dmin.iter().zip(rd.iter()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "grid {agg:?} iter {it} point {i}");
                 }
                 // Small factor drift (iteration 3 keeps everything
                 // still: the zero-drift certification path).
@@ -1485,9 +2099,11 @@ mod tests {
                     }
                 }
             }
-            let stats = engine.take_stats();
-            assert!(stats.dists_computed > 0, "agg {agg:?}");
-            assert!(stats.dists_skipped > 0, "agg {agg:?}");
+            for engine in [&mut otf, &mut grid_engine] {
+                let stats = engine.take_stats();
+                assert!(stats.dists_computed > 0, "agg {agg:?}");
+                assert!(stats.dists_skipped > 0, "agg {agg:?}");
+            }
         }
     }
 

@@ -460,8 +460,8 @@ impl KrKMeans {
     ) {
         match self.variant {
             KrVariant::TimeEfficient => {
-                let centroids = khatri_rao(sets, self.aggregator).expect("validated sets");
-                engine.assign_dense(data, &centroids, labels, dmin);
+                let grid = khatri_rao(sets, self.aggregator).expect("validated sets");
+                engine.assign_grid(data, &grid, sets, self.aggregator, labels, dmin);
             }
             KrVariant::MemoryEfficient => {
                 engine.assign_otf(data, sets, indexer, self.aggregator, labels, dmin);

@@ -7,16 +7,19 @@
 //! (`PruneMode::Off`), in both `KernelMode`s, at any worker count.
 //! These properties sweep ragged shapes and the degenerate corners —
 //! k = 1, duplicate centroids, zero-drift iterations — plus plain
-//! end-to-end fits at 1/2/8 pool workers, and one larger fit in the
-//! small-k, large-n regime.
+//! end-to-end fits at 1/2/8 pool workers, one larger fit in the
+//! small-k, large-n regime, and the factored filter of Sum grids under
+//! cancellation and ties.
 
 use kr_core::aggregator::Aggregator;
 use kr_core::assign::AssignEngine;
 use kr_core::kmeans::{nearest_assignments_with, KMeans};
 use kr_core::kr_kmeans::{KrKMeans, KrVariant};
-use kr_core::operator::CentroidIndexer;
+use kr_core::operator::{khatri_rao, CentroidIndexer};
 use kr_linalg::{ExecCtx, KernelMode, Matrix, PruneMode, ThreadPool};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Exhaustive reference through the public one-shot entry point (the
@@ -190,6 +193,101 @@ proptest! {
                             for v in s.row_mut(r).iter_mut() {
                                 *v += 0.04;
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A Sum-grid case for the factored filter: `n × m` data and `p` factor
+/// sets of sizes `hs[..p]`, all within `spread` of a common `offset`
+/// that the sets share out (the `split` of it in set 0, the rest in set
+/// 1), and one protocentroid duplicated when `dup` picks a set with two
+/// or more rows.
+#[allow(clippy::too_many_arguments)]
+fn factored_case(
+    n: usize,
+    m: usize,
+    hs: &[usize],
+    offset: f64,
+    spread: f64,
+    split: f64,
+    dup: usize,
+    seed: u64,
+) -> (Matrix, Vec<Matrix>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = Matrix::from_fn(n, m, |_, _| offset + spread * rng.gen_range(-1.0..1.0));
+    let mut sets: Vec<Matrix> = hs
+        .iter()
+        .enumerate()
+        .map(|(l, &h)| {
+            let share = match l {
+                0 => split * offset,
+                1 => (1.0 - split) * offset,
+                _ => 0.0,
+            };
+            Matrix::from_fn(h, m, |_, _| share + spread * rng.gen_range(-1.0..1.0))
+        })
+        .collect();
+    let s = &mut sets[dup % hs.len()];
+    if s.nrows() > 1 {
+        let (src, dst) = (dup % s.nrows(), (dup / 5 + 1) % s.nrows());
+        let row = s.row(src).to_vec();
+        s.row_mut(dst).copy_from_slice(&row);
+    }
+    (data, sets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The factored filter of Sum grids, on both KR paths: `assign_grid`
+    /// and `assign_otf` with pruning on equal `PruneMode::Off` bitwise
+    /// over 4 drifting iterations (iteration 2 keeps the sets still).
+    /// Shapes fall on both sides of the `Σ h < ∏ h` rule; offsets up to
+    /// 1e6 with spreads from 1e-6 to 1e6 make the expanded kernel cancel
+    /// catastrophically, and duplicated protocentroids make exact ties.
+    #[test]
+    fn kr_sum_filter_is_bitwise_exhaustive(
+        (p, m, n) in (2usize..=3, 1usize..=8, 2usize..=30),
+        hs in proptest::collection::vec(1usize..=5, 3),
+        (offset_exp, spread_exp, split) in (-1i32..=6, -6i32..=6, 0.0..1.0f64),
+        dup in 0usize..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let hs = &hs[..p];
+        let offset = if offset_exp < 0 { 0.0 } else { 10f64.powi(offset_exp) };
+        let spread = 10f64.powi(spread_exp);
+        let (data, mut sets) = factored_case(n, m, hs, offset, spread, split, dup, seed);
+        let indexer = CentroidIndexer::new(hs.to_vec());
+        let agg = Aggregator::Sum;
+        let on = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let off = on.clone().with_prune_mode(PruneMode::Off);
+        let engine = |exec: &ExecCtx| {
+            let mut e = AssignEngine::new(exec);
+            e.begin_fit(&data);
+            e
+        };
+        let (mut grid_on, mut grid_off) = (engine(&on), engine(&off));
+        let (mut otf_on, mut otf_off) = (engine(&on), engine(&off));
+        let (mut labels, mut dmin) = (vec![0usize; n], vec![0.0f64; n]);
+        let (mut rl, mut rd) = (vec![0usize; n], vec![0.0f64; n]);
+        for it in 0..4 {
+            let ctx = format!("hs {hs:?} m {m} offset {offset:e} spread {spread:e} iter {it}");
+            let grid = khatri_rao(&sets, agg).unwrap();
+            grid_on.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
+            grid_off.assign_grid(&data, &grid, &sets, agg, &mut rl, &mut rd);
+            assert_bitwise((&labels, &dmin), (&rl, &rd), &format!("grid {ctx}"));
+            otf_on.assign_otf(&data, &sets, &indexer, agg, &mut labels, &mut dmin);
+            otf_off.assign_otf(&data, &sets, &indexer, agg, &mut rl, &mut rd);
+            assert_bitwise((&labels, &dmin), (&rl, &rd), &format!("otf {ctx}"));
+            if it != 2 {
+                for (l, s) in sets.iter_mut().enumerate() {
+                    for r in 0..s.nrows() {
+                        for (j, v) in s.row_mut(r).iter_mut().enumerate() {
+                            *v += spread * 0.05 * ((r + j + l + it) % 3) as f64;
                         }
                     }
                 }

@@ -381,6 +381,11 @@ impl Matrix {
     /// transpose, blocked over output-row panels (each panel stays hot
     /// while the shared dimension streams past) and parallelized over
     /// those panels on `exec`'s pool.
+    ///
+    /// A zero entry of `self` is skipped when its `rhs` row is finite
+    /// (sparse codes stay cheap; adding `±0` changes no bit), but not when
+    /// that row holds an infinity or NaN: `0·∞` and `0·NaN` are NaN, as in
+    /// `self.transpose().matmul(rhs)`.
     pub fn matmul_transpose_a_with(&self, rhs: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -400,13 +405,17 @@ impl Matrix {
         let a_cols = self.cols;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
+        let b_finite: Vec<bool> = b
+            .chunks_exact(n)
+            .map(|row| row.iter().all(|v| v.is_finite()))
+            .collect();
         parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, out_rows| {
             let h = out_rows.len() / n;
             for p in 0..shared {
                 let a_seg = &a[p * a_cols + i0..p * a_cols + i0 + h];
                 let b_row = &b[p * n..(p + 1) * n];
                 for (ii, &av) in a_seg.iter().enumerate() {
-                    if av == 0.0 {
+                    if av == 0.0 && b_finite[p] {
                         continue;
                     }
                     let row = &mut out_rows[ii * n..(ii + 1) * n];
@@ -933,6 +942,38 @@ mod tests {
         let direct = a.matmul_transpose_a(&b).unwrap();
         let explicit = a.transpose().matmul(&b).unwrap();
         assert_eq!(direct, explicit);
+    }
+
+    #[test]
+    fn matmul_transpose_a_keeps_zero_times_nonfinite() {
+        // Zero lhs entries meet an inf row (0·inf) and a NaN row (0·NaN);
+        // the last rhs row is finite, so its zero entries may be skipped.
+        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0], vec![0.0, 0.0]]).unwrap();
+        let b = Matrix::from_rows(&[
+            vec![f64::INFINITY, 1.0],
+            vec![3.0, f64::NAN],
+            vec![1.0, 2.0],
+        ])
+        .unwrap();
+        let explicit = a.transpose().matmul(&b).unwrap();
+        for mode in [KernelMode::Scalar, KernelMode::Simd] {
+            let exec = ExecCtx::serial().with_kernel_mode(mode);
+            let direct = a.matmul_transpose_a_with(&b, &exec).unwrap();
+            for (i, (x, y)) in direct
+                .as_slice()
+                .iter()
+                .zip(explicit.as_slice())
+                .enumerate()
+            {
+                assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "{mode:?} entry {i}: {x} vs {y}"
+                );
+            }
+            assert!(direct.get(0, 0).is_nan() && direct.get(0, 1).is_nan());
+            assert_eq!(direct.get(1, 0), f64::INFINITY);
+            assert!(direct.get(1, 1).is_nan());
+        }
     }
 
     #[test]
