@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use kr_core::aggregator::Aggregator;
-use kr_core::kr_kmeans::{prop61_update_pass, KrKMeans, KrVariant};
+use kr_core::kr_kmeans::{prop61_update_pass_with, KrKMeans, KrVariant};
 use kr_linalg::{ops, ExecCtx, KernelMode, Matrix};
 use std::hint::black_box;
 
@@ -39,8 +39,8 @@ fn seed_naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// the regression baseline for the packed micro-kernel: identical panel
 /// order and 4-row register tiles, but each tile re-reads B's rows at
 /// stride `n` straight from the operand. Bitwise-identical output to
-/// `Matrix::matmul` (packing only copies values), so the group compares
-/// pure memory behavior.
+/// `Matrix::matmul_with` in `Scalar` mode (packing only copies values),
+/// so the group compares pure memory behavior.
 fn unpacked_blocked_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
     let (mc, kc, nc) = (64usize, 256usize, 1024usize);
@@ -124,7 +124,11 @@ fn bench_matmul_blocked(c: &mut Criterion) {
     // Before/after for the packed-B micro-kernel: `blocked_unpacked` is
     // the PR-2 kernel, `blocked_serial` the current packed one. Their
     // outputs are asserted bitwise equal before timing.
-    assert_eq!(unpacked_blocked_matmul(&a, &b), a.matmul(&b).unwrap());
+    let serial = ExecCtx::serial();
+    assert_eq!(
+        unpacked_blocked_matmul(&a, &b),
+        a.matmul_with(&b, &serial).unwrap()
+    );
     group.bench_function("blocked_unpacked", |bch| {
         bch.iter(|| black_box(unpacked_blocked_matmul(&a, &b)));
     });
@@ -146,19 +150,23 @@ fn bench_matmul_blocked(c: &mut Criterion) {
 }
 
 fn bench_matmul_wide_packed(c: &mut Criterion) {
-    // Outputs wider than one `nc` slab (n = 2048 > 1024) are where the
+    // Outputs wider than one `NC` slab (n = 2048 > 1024) are where the
     // packed-B micro-kernel earns its copy: the unpacked kernel re-walks
     // strided panel rows on every register-tile pass.
     let mut group = c.benchmark_group("matmul_wide_384x512x2048");
     group.sample_size(10);
     let a = Matrix::from_fn(384, 512, |i, j| ((i * 31 + j * 7) % 97) as f64 * 0.01);
     let b = Matrix::from_fn(512, 2048, |i, j| ((i * 13 + j * 3) % 89) as f64 * 0.02);
-    assert_eq!(unpacked_blocked_matmul(&a, &b), a.matmul(&b).unwrap());
+    let serial = ExecCtx::serial();
+    assert_eq!(
+        unpacked_blocked_matmul(&a, &b),
+        a.matmul_with(&b, &serial).unwrap()
+    );
     group.bench_function("blocked_unpacked", |bch| {
         bch.iter(|| black_box(unpacked_blocked_matmul(&a, &b)));
     });
     group.bench_function("blocked_packed_serial", |bch| {
-        bch.iter(|| black_box(a.matmul(&b).unwrap()));
+        bch.iter(|| black_box(a.matmul_with(&b, &serial).unwrap()));
     });
     group.finish();
 }
@@ -190,6 +198,7 @@ fn bench_pairwise_blocked(c: &mut Criterion) {
 fn bench_pairwise_sqdist(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairwise_sqdist");
     group.sample_size(10);
+    let serial = ExecCtx::serial();
     for &(n, k, m) in &[(500usize, 50usize, 32usize), (1000, 100, 32)] {
         let x = Matrix::from_fn(n, m, |i, j| ((i * 31 + j * 7) % 97) as f64 * 0.01);
         let cmat = Matrix::from_fn(k, m, |i, j| ((i * 13 + j * 3) % 89) as f64 * 0.02);
@@ -197,7 +206,7 @@ fn bench_pairwise_sqdist(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{n}x{k}x{m}")),
             &(),
             |b, _| {
-                b.iter(|| black_box(x.pairwise_sqdist(&cmat).unwrap()));
+                b.iter(|| black_box(x.pairwise_sqdist_with(&cmat, &serial).unwrap()));
             },
         );
     }
@@ -236,6 +245,7 @@ fn bench_prop61_update(c: &mut Criterion) {
     group.sample_size(10);
     let ds = kr_datasets::synthetic::blobs(2000, 16, 36, 1.0, 91);
     let labels: Vec<usize> = (0..2000).map(|i| i % 36).collect();
+    let serial = ExecCtx::serial();
     for agg in [Aggregator::Sum, Aggregator::Product] {
         group.bench_function(format!("agg_{agg}"), |b| {
             b.iter(|| {
@@ -243,7 +253,7 @@ fn bench_prop61_update(c: &mut Criterion) {
                     Matrix::from_fn(6, 16, |i, j| (i + j) as f64 * 0.1 + 0.5),
                     Matrix::from_fn(6, 16, |i, j| (i * j + 1) as f64 * 0.05 + 0.5),
                 ];
-                prop61_update_pass(&ds.data, &labels, &mut sets, agg, 0);
+                prop61_update_pass_with(&ds.data, &labels, &mut sets, agg, 0, &serial);
                 black_box(sets)
             });
         });

@@ -129,13 +129,6 @@ impl NnkMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
     /// Sets the execution context used by the coding and update steps.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;
@@ -591,11 +584,12 @@ mod tests {
     fn cholesky_solves_small_system() {
         // G = M Mᵀ for a full-rank M is SPD.
         let m = Matrix::from_rows(&[vec![2.0, 0.0], vec![1.0, 3.0]]).unwrap();
-        let g = m.matmul_transpose_b(&m).unwrap();
+        let serial = ExecCtx::serial();
+        let g = m.matmul_transpose_b_with(&m, &serial).unwrap();
         let b = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
         let l = cholesky(&g).unwrap();
         let x = cholesky_solve(&l, &b);
-        let back = g.matmul(&x).unwrap();
+        let back = g.matmul_with(&x, &serial).unwrap();
         for (a, e) in back.as_slice().iter().zip(b.as_slice()) {
             assert!((a - e).abs() < 1e-12);
         }

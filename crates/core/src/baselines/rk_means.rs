@@ -22,7 +22,7 @@
 //! [`WeightedKMeans`] with unit weights (property-tested).
 
 use super::weighted::{WeightedKMeans, WeightedKMeansModel};
-use crate::kmeans::{assign, validate_input};
+use crate::kmeans::{nearest_assignments_with, validate_input};
 use crate::{CoreError, Result};
 use kr_linalg::{ops, ExecCtx, Matrix};
 use std::collections::HashMap;
@@ -118,13 +118,6 @@ impl RkMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
     /// Sets the execution context used by the Lloyd phase and the final
     /// full-data assignment.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
@@ -146,10 +139,7 @@ impl RkMeans {
             .fit(&compressed.representatives, &compressed.weights)?;
         // Evaluate on the *original* points so inertia is comparable
         // with the uncompressed baselines in Table 2 / Figure 6.
-        let n = data.nrows();
-        let mut labels = vec![0usize; n];
-        let mut dmin = vec![0.0f64; n];
-        assign(data, &wmodel.centroids, &mut labels, &mut dmin, &self.exec);
+        let (labels, dmin) = nearest_assignments_with(data, &wmodel.centroids, &self.exec);
         let inertia = dmin.iter().sum();
         Ok(RkMeansModel {
             centroids: wmodel.centroids,

@@ -100,13 +100,6 @@ impl WeightedKMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
     /// Sets the execution context used by the assignment and update
     /// steps.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
@@ -410,12 +403,12 @@ mod tests {
         let (pts, w) = two_weighted_blobs();
         let a = WeightedKMeans::new(2)
             .with_seed(7)
-            .with_threads(1)
+            .with_exec(ExecCtx::threaded(1))
             .fit(&pts, &w)
             .unwrap();
         let b = WeightedKMeans::new(2)
             .with_seed(7)
-            .with_threads(4)
+            .with_exec(ExecCtx::threaded(4))
             .fit(&pts, &w)
             .unwrap();
         assert_eq!(a.labels, b.labels);

@@ -113,15 +113,8 @@ impl KMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
-    /// Sets the execution context (thread budget, pool handle, tiling)
-    /// used by the assignment and update steps.
+    /// Sets the execution context (thread budget, pool handle, kernel
+    /// and pruning modes) used by the assignment and update steps.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;
         self
@@ -244,24 +237,6 @@ impl KMeans {
     }
 }
 
-/// Assigns each row of `data` to its nearest centroid, filling `labels`
-/// and the per-point squared distance `dmin`.
-///
-/// One-shot entry point: delegates to the shared exhaustive scan in
-/// [`crate::assign`] (the reference implementation every pruned-engine
-/// run is bitwise-pinned to). Lloyd loops that assign repeatedly against
-/// drifting centroids should hold an [`AssignEngine`] instead and let
-/// the bounds skip certified candidates.
-pub(crate) fn assign(
-    data: &Matrix,
-    centroids: &Matrix,
-    labels: &mut [usize],
-    dmin: &mut [f64],
-    exec: &ExecCtx,
-) {
-    crate::assign::exhaustive_dense(data, centroids, labels, dmin, exec, None);
-}
-
 /// Nearest-centroid assignment as a public building block: returns one
 /// `(label, squared distance)` pair per row of `data`, computed
 /// chunk-parallel on `exec`'s pool. Per-point work is independent of the
@@ -286,7 +261,7 @@ pub fn nearest_assignments_with(
     let n = data.nrows();
     let mut labels = vec![0usize; n];
     let mut dmin = vec![0.0f64; n];
-    assign(data, centroids, &mut labels, &mut dmin, exec);
+    crate::assign::exhaustive_dense(data, centroids, &mut labels, &mut dmin, exec, None);
     (labels, dmin)
 }
 
@@ -485,12 +460,12 @@ mod tests {
         let data = two_blobs();
         let a = KMeans::new(2)
             .with_seed(7)
-            .with_threads(1)
+            .with_exec(ExecCtx::threaded(1))
             .fit(&data)
             .unwrap();
         let b = KMeans::new(2)
             .with_seed(7)
-            .with_threads(4)
+            .with_exec(ExecCtx::threaded(4))
             .fit(&data)
             .unwrap();
         assert_eq!(a.labels, b.labels);

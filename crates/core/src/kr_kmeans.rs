@@ -214,15 +214,9 @@ impl KrKMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
-    /// Sets the execution context (thread budget, pool handle, tiling)
-    /// used by the assignment and protocentroid-update steps.
+    /// Sets the execution context (thread budget, pool handle, kernel
+    /// and pruning modes) used by the assignment and protocentroid-update
+    /// steps.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;
         self
@@ -476,19 +470,8 @@ impl KrKMeans {
 /// Sets are updated sequentially — each sees the already-updated earlier
 /// sets. Public so that callers (tests, the deep-clustering initializer)
 /// can verify or reuse the block-coordinate-descent step in isolation.
-/// `seed` drives the reseeding of empty protocentroids.
-pub fn prop61_update_pass(
-    data: &Matrix,
-    labels: &[usize],
-    sets: &mut [Matrix],
-    agg: Aggregator,
-    seed: u64,
-) {
-    prop61_update_pass_with(data, labels, sets, agg, seed, &ExecCtx::serial());
-}
-
-/// [`prop61_update_pass`] scheduled on an explicit execution context.
-/// Results are bitwise identical at any thread count (the update
+/// `seed` drives the reseeding of empty protocentroids. The pass runs on
+/// `exec`; results are bitwise identical at any thread count (the update
 /// reductions use fixed chunk geometry).
 pub fn prop61_update_pass_with(
     data: &Matrix,
@@ -512,7 +495,7 @@ pub fn prop61_update_pass_with(
 /// statistics* instead of raw points: per-cluster coordinate sums
 /// (`k x m`) and member counts. The closed forms only depend on
 /// `Σ_{x∈C} x` and `|C|`, so this is exactly equivalent to
-/// [`prop61_update_pass`] — it is what a federated server runs after
+/// [`prop61_update_pass_with`] — it is what a federated server runs after
 /// aggregating client statistics (Figure 10's `KR-FkM`).
 ///
 /// Protocentroids whose combinations are all empty keep their value
@@ -971,12 +954,12 @@ mod tests {
         let (ds, _, _) = kr_structured(2, 3, 20, 0.3, StructureKind::Additive, 9);
         let a = KrKMeans::new(vec![2, 3])
             .with_seed(5)
-            .with_threads(1)
+            .with_exec(ExecCtx::threaded(1))
             .fit(&ds.data)
             .unwrap();
         let b = KrKMeans::new(vec![2, 3])
             .with_seed(5)
-            .with_threads(4)
+            .with_exec(ExecCtx::threaded(4))
             .fit(&ds.data)
             .unwrap();
         assert_eq!(a.labels, b.labels);

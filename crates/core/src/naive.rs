@@ -11,7 +11,8 @@
 //! structure — which is why Khatri-Rao-k-Means optimizes both jointly.
 
 use crate::aggregator::Aggregator;
-use crate::kmeans::KMeans;
+use crate::kmeans::{nearest_assignments_with, KMeans};
+use crate::kr_kmeans::prop61_update_from_stats;
 use crate::operator::{aggregate_tuple_into, khatri_rao, CentroidIndexer};
 use crate::{CoreError, Result};
 use kr_linalg::{ops, ExecCtx, Matrix};
@@ -132,10 +133,7 @@ impl NaiveKr {
         );
         // Final assignment against the aggregated approximation.
         let centroids = khatri_rao(&sets, self.aggregator).expect("validated");
-        let n = data.nrows();
-        let mut labels = vec![0usize; n];
-        let mut dmin = vec![0.0f64; n];
-        crate::kmeans::assign(data, &centroids, &mut labels, &mut dmin, &self.exec);
+        let (labels, dmin) = nearest_assignments_with(data, &centroids, &self.exec);
         Ok(NaiveKrModel {
             protocentroids: sets,
             labels,
@@ -185,11 +183,12 @@ pub fn decompose_centroids(
         })
         .collect();
 
+    // Eq. 8 is Proposition 6.1 with every grid row a cluster of weight
+    // one: its centroid is the cluster sum.
+    let ones = vec![1usize; centroids.nrows()];
     let mut sse = f64::INFINITY;
     for _ in 0..max_iter {
-        for q in 0..p {
-            update_decomposition_set(centroids, &mut sets, q, &indexer, agg);
-        }
+        prop61_update_from_stats(centroids, &ones, &mut sets, agg);
         let new_sse = decomposition_sse(centroids, &sets, &indexer, agg);
         if (sse - new_sse).abs() < tol || new_sse < tol {
             sse = new_sse;
@@ -198,64 +197,6 @@ pub fn decompose_centroids(
         sse = new_sse;
     }
     (sets, sse)
-}
-
-/// One closed-form block update of set `q` against the centroid grid
-/// (Eq. 8 with unit weight per centroid).
-fn update_decomposition_set(
-    centroids: &Matrix,
-    sets: &mut [Matrix],
-    q: usize,
-    indexer: &CentroidIndexer,
-    agg: Aggregator,
-) {
-    let m = centroids.ncols();
-    let h_q = sets[q].nrows();
-    let mut num = Matrix::zeros(h_q, m);
-    let mut den = Matrix::zeros(h_q, m);
-    let mut counts = vec![0usize; h_q];
-    let mut other = vec![0.0f64; m];
-    indexer.for_each_tuple(|flat, tuple| {
-        let j = tuple[q];
-        counts[j] += 1;
-        agg.fill_identity(&mut other);
-        for (l, &jl) in tuple.iter().enumerate() {
-            if l != q {
-                agg.aggregate_assign(&mut other, sets[l].row(jl));
-            }
-        }
-        match agg {
-            Aggregator::Sum => {
-                let row = num.row_mut(j);
-                ops::add_assign(row, centroids.row(flat));
-                ops::sub_assign(row, &other);
-            }
-            Aggregator::Product => {
-                ops::add_hadamard_assign(num.row_mut(j), centroids.row(flat), &other);
-                ops::add_weighted_square_assign(den.row_mut(j), 1.0, &other);
-            }
-        }
-    });
-    for (j, &count) in counts.iter().enumerate() {
-        match agg {
-            Aggregator::Sum => {
-                let inv = 1.0 / count.max(1) as f64;
-                let dst = sets[q].row_mut(j);
-                for (t, &nv) in dst.iter_mut().zip(num.row(j).iter()) {
-                    *t = nv * inv;
-                }
-            }
-            Aggregator::Product => {
-                let dst = sets[q].row_mut(j);
-                for ((t, &nv), &dv) in dst.iter_mut().zip(num.row(j).iter()).zip(den.row(j).iter())
-                {
-                    if dv > 1e-12 {
-                        *t = nv / dv;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// SSE between a centroid grid and the aggregation of `sets`.

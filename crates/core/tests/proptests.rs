@@ -130,7 +130,7 @@ proptest! {
         // Proposition 6.1: iterating the closed-form block updates on a
         // *fixed* assignment converges to a point where perturbing any
         // protocentroid coordinate does not decrease the objective.
-        use kr_core::kr_kmeans::{fixed_assignment_objective, prop61_update_pass};
+        use kr_core::kr_kmeans::{fixed_assignment_objective, prop61_update_pass_with};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let m = sets[0].ncols();
@@ -142,8 +142,9 @@ proptest! {
             let mut work = sets.clone();
             let mut last = f64::INFINITY;
             let mut converged = false;
+            let serial = kr_linalg::ExecCtx::serial();
             for _ in 0..1000 {
-                prop61_update_pass(&data, &labels, &mut work, agg, seed);
+                prop61_update_pass_with(&data, &labels, &mut work, agg, seed, &serial);
                 let obj = fixed_assignment_objective(&data, &labels, &work, agg);
                 // Block coordinate descent must be monotone (always).
                 prop_assert!(obj <= last + 1e-7, "{agg:?}: {obj} > {last}");

@@ -188,11 +188,18 @@ mod tests {
         let WeightParam::Hadamard(f) = &layer.weight else {
             panic!()
         };
-        let w1 = store.get(f[0].0).matmul(store.get(f[0].1)).unwrap();
-        let w2 = store.get(f[1].0).matmul(store.get(f[1].1)).unwrap();
+        let serial = kr_linalg::ExecCtx::serial();
+        let w1 = store
+            .get(f[0].0)
+            .matmul_with(store.get(f[0].1), &serial)
+            .unwrap();
+        let w2 = store
+            .get(f[1].0)
+            .matmul_with(store.get(f[1].1), &serial)
+            .unwrap();
         let w = w1.hadamard(&w2).unwrap();
         let x = Matrix::from_fn(2, 4, |i, j| (i + j) as f64 * 0.3);
-        let expect = x.matmul(&w).unwrap();
+        let expect = x.matmul_with(&w, &serial).unwrap();
         let mut g = Graph::new();
         let xv = g.input(x);
         let y = layer.forward(&mut g, &store, xv);

@@ -580,7 +580,14 @@ mod tests {
         // Centralized: labels + prop61 pass over the pooled data.
         let labels = kr_metrics::internal::nearest_assignments(&ds.data, &centroids);
         let mut central = sets.clone();
-        kr_core::kr_kmeans::prop61_update_pass(&ds.data, &labels, &mut central, Aggregator::Sum, 0);
+        kr_core::kr_kmeans::prop61_update_pass_with(
+            &ds.data,
+            &labels,
+            &mut central,
+            Aggregator::Sum,
+            0,
+            &ExecCtx::serial(),
+        );
         // Federated: aggregate client stats, update from stats.
         let (sums, counts) = gather_stats(&clients, &centroids, &ExecCtx::serial());
         let mut fed = sets.clone();

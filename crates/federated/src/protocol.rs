@@ -360,7 +360,7 @@ pub fn compute_local_stats(
     let m = centroids.ncols();
     let mut stats = SuffStats::zeros(k, m);
     let mut best: Vec<(usize, f64)> = vec![(0, 0.0); data.nrows()];
-    parallel::map_chunks_into(exec, &mut best, |start, chunk| {
+    parallel::map_rows_into(exec, &mut best, 1, 1, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
             let x = data.row(start + off);
             let mut best_c = 0usize;

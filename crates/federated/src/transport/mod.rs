@@ -114,7 +114,7 @@ where
         .enumerate()
         .map(|(i, c)| (i, c, None))
         .collect();
-    parallel::map_chunks_into(exec, &mut slots, |_, chunk| {
+    parallel::map_rows_into(exec, &mut slots, 1, 1, |_, chunk| {
         for (i, conn, slot) in chunk.iter_mut() {
             *slot = Some(f(*i, conn));
         }

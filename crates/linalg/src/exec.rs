@@ -1,4 +1,5 @@
-//! Execution context: thread budget, pool handle, and tiling parameters.
+//! Execution context: thread budget, pool handle, kernel mode, and
+//! pruning policy.
 //!
 //! [`ExecCtx`] is the one knob object that flows builder-style through
 //! every hot path in the workspace (`KMeans`, `KrKMeans`, the deep
@@ -6,8 +7,10 @@
 //! replaces the ad-hoc `threads: usize` fields the crates grew
 //! independently: a context names *how many* threads to use, *which*
 //! pool supplies them (the lazily-initialized process-global pool by
-//! default, or an explicit [`ThreadPool`] shared across fits), and the
-//! cache-tiling geometry the blocked kernels in [`crate::Matrix`] use.
+//! default, or an explicit [`ThreadPool`] shared across fits), which
+//! [`KernelMode`] the blocked kernels in [`crate::Matrix`] run, and the
+//! assignment [`PruneMode`]. It also carries the [`Scratch`] arena its
+//! clones share.
 //!
 //! The default context is **serial** (`threads == 1`), so every API that
 //! takes or embeds an `ExecCtx` behaves exactly like the single-threaded
@@ -18,9 +21,9 @@
 //!
 //! let a = Matrix::from_fn(64, 32, |i, j| (i + j) as f64);
 //! let b = Matrix::from_fn(32, 48, |i, j| (i * j % 7) as f64);
-//! let serial = a.matmul(&b).unwrap();
+//! let serial = a.matmul_with(&b, &ExecCtx::serial()).unwrap();
 //! let parallel = a.matmul_with(&b, &ExecCtx::threaded(4)).unwrap();
-//! assert_eq!(serial, parallel); // chunk geometry is thread-invariant
+//! assert_eq!(serial, parallel); // results are thread-invariant
 //! ```
 
 use crate::pool::{self, ThreadPool};
@@ -30,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// `Scalar` (the default) is the reference path: plain multiplies and
 /// adds, bitwise identical to the seed implementation at any thread
-/// count or tiling. `Simd` opts in to the runtime-dispatched lane
+/// count. `Simd` opts in to the runtime-dispatched lane
 /// kernels in [`crate::simd`] — roughly one fused multiply-add per
 /// element per cycle on AVX2/FMA hardware — which carry their *own*
 /// determinism contract (bitwise across thread counts, runs, and
@@ -179,35 +182,6 @@ impl Scratch {
     }
 }
 
-/// Cache-blocking panel sizes for the blocked matrix kernels:
-/// `mc` rows of the output per panel, `kc` steps of the shared dimension
-/// per panel, `nc` columns per slab.
-///
-/// The defaults keep a `kc x nc` panel of the right-hand operand (256 KiB
-/// at f64) inside a typical L2 while an `mc`-row output panel stays hot.
-/// Accumulation order per output element is ascending in the shared
-/// dimension regardless of these values, so tiling never changes results
-/// bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tiling {
-    /// Output rows per panel (also the parallel work unit).
-    pub mc: usize,
-    /// Shared-dimension steps per panel.
-    pub kc: usize,
-    /// Output columns per slab.
-    pub nc: usize,
-}
-
-impl Default for Tiling {
-    fn default() -> Self {
-        Tiling {
-            mc: 64,
-            kc: 256,
-            nc: 1024,
-        }
-    }
-}
-
 /// Which pool a context schedules on.
 #[derive(Debug, Clone, Default)]
 enum PoolHandle {
@@ -218,13 +192,12 @@ enum PoolHandle {
     Explicit(Arc<ThreadPool>),
 }
 
-/// Thread budget + pool handle + tiling parameters for the parallel and
-/// blocked kernels. Cheap to clone; see the module docs.
+/// Thread budget, pool handle, kernel mode, and pruning policy for the
+/// parallel and blocked kernels. Cheap to clone; see the module docs.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
     threads: usize,
     pool: PoolHandle,
-    tiling: Tiling,
     kernel: KernelMode,
     prune: PruneMode,
     scratch: Scratch,
@@ -242,7 +215,6 @@ impl ExecCtx {
         ExecCtx {
             threads: 1,
             pool: PoolHandle::Global,
-            tiling: Tiling::default(),
             kernel: KernelMode::from_env(),
             prune: PruneMode::from_env(),
             scratch: Scratch::default(),
@@ -269,16 +241,6 @@ impl ExecCtx {
         self
     }
 
-    /// Overrides the cache-tiling geometry of the blocked kernels.
-    pub fn with_tiling(mut self, tiling: Tiling) -> Self {
-        self.tiling = Tiling {
-            mc: tiling.mc.max(1),
-            kc: tiling.kc.max(1),
-            nc: tiling.nc.max(1),
-        };
-        self
-    }
-
     /// Selects the kernel implementation ([`KernelMode`]); the default
     /// comes from [`KernelMode::from_env`].
     pub fn with_kernel_mode(mut self, kernel: KernelMode) -> Self {
@@ -289,11 +251,6 @@ impl ExecCtx {
     /// The configured thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured tiling geometry.
-    pub fn tiling(&self) -> Tiling {
-        self.tiling
     }
 
     /// Selects the assignment-pruning policy ([`PruneMode`]); the
@@ -366,11 +323,16 @@ mod tests {
 
     #[test]
     fn threaded_context_covers_range() {
-        let counter = AtomicUsize::new(0);
-        ExecCtx::threaded(4).run_chunks(1000, 1, |s, e| {
-            counter.fetch_add(e - s, Ordering::SeqCst);
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 1000);
+        for threads in [1, 2, 3, 4, 7, 100] {
+            let exec = ExecCtx::threaded(threads);
+            for n in [0usize, 1, 5, 17, 64, 1000] {
+                let counter = AtomicUsize::new(0);
+                exec.run_chunks(n, 1, |s, e| {
+                    counter.fetch_add(e - s, Ordering::SeqCst);
+                });
+                assert_eq!(counter.load(Ordering::SeqCst), n, "n={n} threads={threads}");
+            }
+        }
     }
 
     #[test]
@@ -400,18 +362,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(ExecCtx::threaded(0).threads(), 1);
-    }
-
-    #[test]
-    fn tiling_clamps_to_one() {
-        let t = ExecCtx::serial()
-            .with_tiling(Tiling {
-                mc: 0,
-                kc: 0,
-                nc: 0,
-            })
-            .tiling();
-        assert_eq!((t.mc, t.kc, t.nc), (1, 1, 1));
     }
 
     #[test]

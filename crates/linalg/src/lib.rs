@@ -30,7 +30,8 @@
 //! functions over `&[f64]` slices live in [`ops`]. The execution layer —
 //! a persistent work-stealing [`pool::ThreadPool`], the [`ExecCtx`]
 //! handle that flows through every algorithm in the workspace, and the
-//! chunk-parallel helpers in [`parallel`] — schedules the hot kernels.
+//! two chunk-parallel helpers in [`parallel`] (disjoint row chunks and
+//! ordered partial reductions) — schedules the hot kernels.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,7 @@ pub mod pool;
 pub mod simd;
 pub mod storage;
 
-pub use exec::{ExecCtx, KernelMode, PruneMode, Scratch, Tiling};
+pub use exec::{ExecCtx, KernelMode, PruneMode, Scratch};
 pub use matrix::Matrix;
 pub use pool::ThreadPool;
 pub use storage::AlignedVec;

@@ -1,17 +1,25 @@
 //! Dense row-major `f64` matrix with cache-blocked hot kernels.
 //!
-//! The multiply/distance kernels come in two flavors: the plain methods
-//! (`matmul`, `pairwise_sqdist`, …) run serially with default tiling,
-//! and the `*_with` variants take an [`ExecCtx`] naming a thread budget,
-//! pool, and tiling geometry. Both flavors share one blocked
-//! implementation whose per-element accumulation order is ascending in
-//! the shared dimension regardless of tiling or thread count, so
-//! `a.matmul(&b)` and `a.matmul_with(&b, ctx)` are bitwise identical for
-//! every `ctx`.
+//! The multiply/distance kernels (`matmul_with`, `pairwise_sqdist_with`,
+//! …) take an [`ExecCtx`] naming a thread budget, pool, and
+//! [`KernelMode`]; `&ExecCtx::serial()` runs them on the calling thread.
+//! They are blocked into `MC x KC x NC` panels of fixed size, and each
+//! output element accumulates in ascending order of the shared
+//! dimension whatever the thread count, so results are bitwise
+//! identical at every worker count for a given kernel mode.
 
-use crate::exec::{ExecCtx, KernelMode, Scratch, Tiling};
+use crate::exec::{ExecCtx, KernelMode, Scratch};
 use crate::storage::AlignedVec;
 use crate::{parallel, LinalgError, Result};
+
+/// The blocked kernels split their output rows into at most one worker
+/// chunk per `MC` rows (rounded up).
+const MC: usize = 64;
+/// Shared-dimension steps per panel of [`Matrix::matmul_with`].
+const KC: usize = 256;
+/// Output columns per slab. Outputs wider than one slab pack each
+/// `KC x NC` panel of the right-hand operand (see `matmul_panel`).
+const NC: usize = 1024;
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -151,14 +159,14 @@ impl Matrix {
     /// Element at `(i, j)`. Panics if out of bounds.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
+        assert!(i < self.rows && j < self.cols, "index out of bounds");
         self.data[i * self.cols + j]
     }
 
     /// Sets element at `(i, j)`. Panics if out of bounds.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
+        assert!(i < self.rows && j < self.cols, "index out of bounds");
         self.data[i * self.cols + j] = v;
     }
 
@@ -291,18 +299,13 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs` (serial; see [`Matrix::matmul_with`]).
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with(rhs, &ExecCtx::serial())
-    }
-
     /// Matrix product `self * rhs`, cache-blocked into `MC x KC x NC`
     /// panels with a 4-row register-tiled micro-kernel, parallelized
     /// over row panels on `exec`'s pool.
     ///
     /// Every output element accumulates its `k` terms in ascending
-    /// order regardless of tiling or thread count, so results are
-    /// bitwise identical to the serial naive `ikj` product.
+    /// order regardless of the panel split or thread count, so `Scalar`
+    /// results are bitwise identical to the serial naive `ikj` product.
     pub fn matmul_with(&self, rhs: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -316,21 +319,14 @@ impl Matrix {
         if m == 0 || k == 0 || n == 0 {
             return Ok(out);
         }
-        let til = exec.tiling();
         let simd = exec.kernel_mode() == KernelMode::Simd;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
         let scratch = exec.scratch();
-        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, c_rows| {
-            matmul_panel(a, b, c_rows, i0, k, n, til, simd, scratch);
+        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, MC, |i0, c_rows| {
+            matmul_panel(a, b, c_rows, i0, k, n, simd, scratch);
         });
         Ok(out)
-    }
-
-    /// Matrix product `self * rhs.transpose()` (serial; see
-    /// [`Matrix::matmul_transpose_b_with`]).
-    pub fn matmul_transpose_b(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_transpose_b_with(rhs, &ExecCtx::serial())
     }
 
     /// Matrix product `self * rhs.transpose()` without materializing the
@@ -353,14 +349,13 @@ impl Matrix {
         if m == 0 || n == 0 {
             return Ok(out);
         }
-        let til = exec.tiling();
         let simd = exec.kernel_mode() == KernelMode::Simd;
         let a: &[f64] = &self.data;
         let b: &[f64] = &rhs.data;
-        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, out_rows| {
+        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, MC, |i0, out_rows| {
             let h = out_rows.len() / n;
-            for jb in (0..n).step_by(til.nc) {
-                let jw = til.nc.min(n - jb);
+            for jb in (0..n).step_by(NC) {
+                let jw = NC.min(n - jb);
                 for ii in 0..h {
                     let x = &a[(i0 + ii) * d..(i0 + ii + 1) * d];
                     let drow = &mut out_rows[ii * n + jb..ii * n + jb + jw];
@@ -371,12 +366,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self.transpose() * rhs` (serial; see
-    /// [`Matrix::matmul_transpose_a_with`]).
-    pub fn matmul_transpose_a(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_transpose_a_with(rhs, &ExecCtx::serial())
-    }
-
     /// Matrix product `self.transpose() * rhs` without materializing the
     /// transpose, blocked over output-row panels (each panel stays hot
     /// while the shared dimension streams past) and parallelized over
@@ -385,7 +374,7 @@ impl Matrix {
     /// A zero entry of `self` is skipped when its `rhs` row is finite
     /// (sparse codes stay cheap; adding `±0` changes no bit), but not when
     /// that row holds an infinity or NaN: `0·∞` and `0·NaN` are NaN, as in
-    /// `self.transpose().matmul(rhs)`.
+    /// `self.transpose().matmul_with(rhs, exec)`.
     pub fn matmul_transpose_a_with(&self, rhs: &Matrix, exec: &ExecCtx) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -400,7 +389,6 @@ impl Matrix {
         if m == 0 || n == 0 {
             return Ok(out);
         }
-        let til = exec.tiling();
         let simd = exec.kernel_mode() == KernelMode::Simd;
         let a_cols = self.cols;
         let a: &[f64] = &self.data;
@@ -409,7 +397,7 @@ impl Matrix {
             .chunks_exact(n)
             .map(|row| row.iter().all(|v| v.is_finite()))
             .collect();
-        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, til.mc, |i0, out_rows| {
+        parallel::map_rows_into(exec, out.data.as_mut_slice(), n, MC, |i0, out_rows| {
             let h = out_rows.len() / n;
             for p in 0..shared {
                 let a_seg = &a[p * a_cols + i0..p * a_cols + i0 + h];
@@ -600,12 +588,6 @@ impl Matrix {
         self.data.iter().all(|v| v.is_finite())
     }
 
-    /// Pairwise squared Euclidean distances (serial; see
-    /// [`Matrix::pairwise_sqdist_with`]).
-    pub fn pairwise_sqdist(&self, other: &Matrix) -> Result<Matrix> {
-        self.pairwise_sqdist_with(other, &ExecCtx::serial())
-    }
-
     /// Pairwise squared Euclidean distances between the rows of `self`
     /// (`n x m`) and the rows of `other` (`k x m`), returned as `n x k`.
     ///
@@ -632,15 +614,14 @@ impl Matrix {
         }
         let x_norms = self.row_sq_norms();
         let c_norms = other.row_sq_norms();
-        let til = exec.tiling();
         let simd = exec.kernel_mode() == KernelMode::Simd;
         let x_data: &[f64] = &self.data;
         let c_data: &[f64] = &other.data;
         let (x_norms, c_norms) = (&x_norms, &c_norms);
-        parallel::map_rows_into(exec, out.data.as_mut_slice(), k, til.mc, |i0, out_rows| {
+        parallel::map_rows_into(exec, out.data.as_mut_slice(), k, MC, |i0, out_rows| {
             let h = out_rows.len() / k;
-            for jb in (0..k).step_by(til.nc) {
-                let jw = til.nc.min(k - jb);
+            for jb in (0..k).step_by(NC) {
+                let jw = NC.min(k - jb);
                 for ii in 0..h {
                     let x = &x_data[(i0 + ii) * d..(i0 + ii + 1) * d];
                     let xn = x_norms[i0 + ii];
@@ -661,12 +642,12 @@ impl Matrix {
 /// starting at global row `i0`. Panels follow `jc -> pc -> 4-row tile`
 /// order, so each element still accumulates its `k` terms ascending.
 ///
-/// When the output is wider than one `nc` slab, the current `kc x nc`
+/// When the output is wider than one `NC` slab, the current `KC x NC`
 /// panel of `B` is **packed** into a contiguous scratch buffer before
 /// the register tiles consume it: in `b` such a panel's rows sit `n`
 /// elements apart, so every tile pass walks one TLB page per few rows;
 /// packed, the whole panel streams linearly and is reused from L2 by
-/// every 4-row tile of the output panel. Narrow outputs (`n <= nc`,
+/// every 4-row tile of the output panel. Narrow outputs (`n <= NC`,
 /// one slab spanning whole rows of `B`) are already contiguous and skip
 /// the copy entirely. Packing only moves values — the accumulation
 /// order is untouched, so results stay bitwise identical to the
@@ -675,7 +656,7 @@ impl Matrix {
 /// Pack-cost accounting: `map_rows_into` hands each *worker chunk* to
 /// one call of this function (the entire output when serial), so each
 /// `B` slab is packed once per worker chunk — roughly once per thread,
-/// not once per `mc`-row panel — and the pack buffer comes from the
+/// not once per `MC`-row panel — and the pack buffer comes from the
 /// context's [`Scratch`] arena (each concurrent worker chunk takes its
 /// own, and steady-state Lloyd iterations reuse them without touching
 /// the allocator). The buffer is taken "uninit" (unspecified contents):
@@ -684,7 +665,7 @@ impl Matrix {
 ///
 /// `simd` hands each 4-row tile to [`crate::simd::fma_panel4`], which
 /// holds the accumulators in vector registers across the whole
-/// `kc`-panel instead of re-walking the output rows once per `k` step;
+/// `KC`-panel instead of re-walking the output rows once per `k` step;
 /// each element's ascending-`k` accumulation order is identical in both
 /// modes — `Simd` only fuses each multiply-add rounding.
 #[allow(clippy::too_many_arguments)]
@@ -695,21 +676,20 @@ fn matmul_panel(
     i0: usize,
     k: usize,
     n: usize,
-    til: Tiling,
     simd: bool,
     scratch: &Scratch,
 ) {
     let h = c.len() / n;
-    let needs_pack = n > til.nc;
+    let needs_pack = n > NC;
     let mut packed = if needs_pack {
-        scratch.take_f64_uninit(til.kc.min(k) * til.nc)
+        scratch.take_f64_uninit(KC.min(k) * NC)
     } else {
         Vec::new()
     };
-    for jc in (0..n).step_by(til.nc) {
-        let jw = til.nc.min(n - jc);
-        for pc in (0..k).step_by(til.kc) {
-            let pw = til.kc.min(k - pc);
+    for jc in (0..n).step_by(NC) {
+        let jw = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let pw = KC.min(k - pc);
             // The rows the register tiles consume, at stride `jw`:
             // packed B[pc..pc+pw, jc..jc+jw] when slabs are strided in
             // `b`, or the operand's own contiguous rows when one slab
@@ -775,7 +755,7 @@ fn matmul_panel(
             // skip here — the 4-row tile above has none, and which rows
             // land in which path depends on the panel split, so skipping
             // only here would make results (for non-finite operands)
-            // depend on tiling/thread count.
+            // depend on the thread count.
             while ir < h {
                 let row = &mut c[ir * n + jc..ir * n + jc + jw];
                 let a_base = (i0 + ir) * k;
@@ -897,6 +877,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn get_rejects_column_past_ncols() {
+        // Row-major (0, 2) of a 2x2 would alias (1, 0) without the check.
+        Matrix::zeros(2, 2).get(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn set_rejects_column_past_ncols() {
+        Matrix::zeros(2, 2).set(0, 2, 1.0);
+    }
+
+    #[test]
     fn row_access() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(m.row(1), &[3.0, 4.0]);
@@ -907,7 +900,7 @@ mod tests {
     fn matmul_small() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let b = m22(5.0, 6.0, 7.0, 8.0);
-        let c = a.matmul(&b).unwrap();
+        let c = a.matmul_with(&b, &ExecCtx::serial()).unwrap();
         assert_eq!(c, m22(19.0, 22.0, 43.0, 50.0));
     }
 
@@ -915,23 +908,23 @@ mod tests {
     fn matmul_identity() {
         let a = m22(1.0, 2.0, 3.0, 4.0);
         let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
+        assert_eq!(a.matmul_with(&i, &ExecCtx::serial()).unwrap(), a);
+        assert_eq!(i.matmul_with(&a, &ExecCtx::serial()).unwrap(), a);
     }
 
     #[test]
     fn matmul_shape_error() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
+        assert!(a.matmul_with(&b, &ExecCtx::serial()).is_err());
     }
 
     #[test]
     fn matmul_transpose_b_matches_explicit() {
         let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
         let b = Matrix::from_fn(5, 4, |i, j| (i + j) as f64 * 0.5);
-        let direct = a.matmul_transpose_b(&b).unwrap();
-        let explicit = a.matmul(&b.transpose()).unwrap();
+        let direct = a.matmul_transpose_b_with(&b, &ExecCtx::serial()).unwrap();
+        let explicit = a.matmul_with(&b.transpose(), &ExecCtx::serial()).unwrap();
         assert_eq!(direct, explicit);
     }
 
@@ -939,8 +932,8 @@ mod tests {
     fn matmul_transpose_a_matches_explicit() {
         let a = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
         let b = Matrix::from_fn(4, 5, |i, j| (i + 2 * j) as f64);
-        let direct = a.matmul_transpose_a(&b).unwrap();
-        let explicit = a.transpose().matmul(&b).unwrap();
+        let direct = a.matmul_transpose_a_with(&b, &ExecCtx::serial()).unwrap();
+        let explicit = a.transpose().matmul_with(&b, &ExecCtx::serial()).unwrap();
         assert_eq!(direct, explicit);
     }
 
@@ -955,7 +948,7 @@ mod tests {
             vec![1.0, 2.0],
         ])
         .unwrap();
-        let explicit = a.transpose().matmul(&b).unwrap();
+        let explicit = a.transpose().matmul_with(&b, &ExecCtx::serial()).unwrap();
         for mode in [KernelMode::Scalar, KernelMode::Simd] {
             let exec = ExecCtx::serial().with_kernel_mode(mode);
             let direct = a.matmul_transpose_a_with(&b, &exec).unwrap();
@@ -1005,7 +998,7 @@ mod tests {
     fn pairwise_sqdist_exact() {
         let x = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0]]).unwrap();
         let c = Matrix::from_rows(&[vec![0.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        let d = x.pairwise_sqdist(&c).unwrap();
+        let d = x.pairwise_sqdist_with(&c, &ExecCtx::serial()).unwrap();
         assert_eq!(d.get(0, 0), 0.0);
         assert_eq!(d.get(0, 1), 16.0);
         assert_eq!(d.get(1, 0), 25.0);
@@ -1016,7 +1009,7 @@ mod tests {
     fn pairwise_sqdist_nonnegative_under_rounding() {
         // Nearly-identical rows can go negative without the clamp.
         let x = Matrix::from_rows(&[vec![1.0e8, 1.0e8]]).unwrap();
-        let d = x.pairwise_sqdist(&x).unwrap();
+        let d = x.pairwise_sqdist_with(&x, &ExecCtx::serial()).unwrap();
         assert!(d.get(0, 0) >= 0.0);
     }
 

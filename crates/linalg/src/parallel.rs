@@ -1,34 +1,20 @@
 //! Chunk-parallel helpers over the persistent [`crate::pool`].
 //!
-//! Rewritten from the original `std::thread::scope` fork-join helpers:
-//! the same three access patterns the workspace's kernels need —
-//! side-effecting index ranges, disjoint output chunks, and ordered
-//! partial reductions — now schedule on the work-stealing pool named by
-//! an [`ExecCtx`] instead of spawning OS threads per call.
+//! Rewritten from the original `std::thread::scope` fork-join helpers,
+//! these cover the two access patterns [`ExecCtx::run_chunks`] alone
+//! does not: disjoint output chunks ([`map_rows_into`], which holds the
+//! `unsafe` slicing) and ordered partial reductions ([`reduce_chunks`]).
+//! Both schedule on the work-stealing pool named by an [`ExecCtx`]
+//! instead of spawning OS threads per call.
 //!
 //! Determinism contract (relied on by the `threads_do_not_change_result`
-//! tests): [`for_each_chunk`] and [`map_chunks_into`] require per-index
-//! work that is independent of the chunk split, and
-//! [`reduce_chunks`] fixes its chunk geometry from the *item count
-//! alone* — never the thread budget — and returns partials in ascending
-//! chunk order, so merged results are bitwise identical for any
-//! `ExecCtx` thread count, including 1.
+//! tests): [`map_rows_into`] requires per-row work that is independent
+//! of the chunk split, and [`reduce_chunks`] fixes its chunk geometry
+//! from the *item count alone* — never the thread budget — and returns
+//! partials in ascending chunk order, so merged results are bitwise
+//! identical for any `ExecCtx` thread count, including 1.
 
 use crate::exec::ExecCtx;
-
-/// Splits `0..n` into contiguous chunks and runs `f` on each, possibly
-/// in parallel on `exec`'s pool.
-///
-/// `f` receives `(start, end)` half-open ranges. A serial context runs
-/// `f(0, n)` on the caller's thread, which keeps single-threaded
-/// determinism and makes the parallel path easy to compare against in
-/// tests.
-pub fn for_each_chunk<F>(exec: &ExecCtx, n: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    exec.run_chunks(n, 1, f);
-}
 
 /// Wraps a raw pointer so chunk closures can reconstruct disjoint
 /// subslices of one output buffer from worker threads.
@@ -50,41 +36,14 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // dereferences stay confined to the disjoint ranges described for `Send`.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Maps `0..out.len()` in parallel chunks into a pre-allocated output
-/// buffer.
+/// Maps the rows of a row-major buffer in parallel chunks: chunks are
+/// aligned to multiples of `row_len`, and at least `min_rows` rows wide,
+/// so `f` always sees whole rows. `f(first_row, rows)` fills the rows
+/// starting at index `first_row`; each chunk owns a disjoint slice of
+/// `out`. A serial context calls `f(0, out)` on the caller's thread.
 ///
-/// `f(start, chunk)` fills `out[start..start + chunk.len()]` for its
-/// chunk. This is the pattern used by the assignment kernels: each chunk
-/// owns a disjoint slice of the output.
-pub fn map_chunks_into<T, F>(exec: &ExecCtx, out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    if exec.threads() == 1 {
-        f(0, out);
-        return;
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    exec.run_chunks(n, 1, move |start, end| {
-        // SAFETY: chunk ranges are disjoint and within `out`, and
-        // `run_chunks` returns only after every chunk completed, so the
-        // borrow of `out` is still live for the whole region.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(start, chunk);
-    });
-}
-
-/// Like [`map_chunks_into`] for row-major buffers: chunks are aligned to
-/// multiples of `row_len`, and at least `min_rows` rows wide, so `f`
-/// always sees whole rows. `f(first_row, rows)` fills the rows starting
-/// at index `first_row`.
-///
-/// Used by the blocked matrix kernels to parallelize over row panels.
+/// Used by the blocked matrix kernels to parallelize over row panels,
+/// and with `row_len = 1` wherever each element is its own row.
 pub fn map_rows_into<T, F>(exec: &ExecCtx, out: &mut [T], row_len: usize, min_rows: usize, f: F)
 where
     T: Send,
@@ -101,8 +60,9 @@ where
     }
     let base = SendPtr(out.as_mut_ptr());
     exec.run_chunks(rows, min_rows.max(1), move |start, end| {
-        // SAFETY: row ranges are disjoint and within `out`; see
-        // `map_chunks_into`.
+        // SAFETY: row ranges are disjoint and within `out`, and
+        // `run_chunks` returns only after every chunk completed, so the
+        // borrow of `out` is still live for the whole region.
         let chunk = unsafe {
             std::slice::from_raw_parts_mut(base.get().add(start * row_len), (end - start) * row_len)
         };
@@ -131,7 +91,7 @@ where
     let chunk = chunk.max(1);
     let n_chunks = n.div_ceil(chunk);
     let mut partials: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    map_chunks_into(exec, &mut partials, |first, slots| {
+    map_rows_into(exec, &mut partials, 1, 1, |first, slots| {
         for (off, slot) in slots.iter_mut().enumerate() {
             let ci = first + off;
             let start = ci * chunk;
@@ -150,50 +110,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn covers_all_indices_exactly_once() {
-        for threads in [1, 2, 3, 7, 100] {
-            let exec = ExecCtx::threaded(threads);
-            for n in [0usize, 1, 5, 17, 64] {
-                let counter = AtomicUsize::new(0);
-                for_each_chunk(&exec, n, |s, e| {
-                    counter.fetch_add(e - s, Ordering::SeqCst);
-                });
-                assert_eq!(counter.load(Ordering::SeqCst), n, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_chunks_fills_buffer() {
-        for threads in [1, 2, 4, 9] {
-            let exec = ExecCtx::threaded(threads);
-            let mut out = vec![0usize; 23];
-            map_chunks_into(&exec, &mut out, |start, slice| {
-                for (i, v) in slice.iter_mut().enumerate() {
-                    *v = start + i;
-                }
-            });
-            let expect: Vec<usize> = (0..23).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
 
     #[test]
     fn map_rows_chunks_are_row_aligned() {
-        for threads in [1, 2, 4] {
-            let exec = ExecCtx::threaded(threads);
-            let mut out = vec![0usize; 30];
-            map_rows_into(&exec, &mut out, 5, 1, |first_row, rows| {
-                assert_eq!(rows.len() % 5, 0, "chunk not row-aligned");
-                for (i, v) in rows.iter_mut().enumerate() {
-                    *v = first_row * 5 + i;
-                }
-            });
-            let expect: Vec<usize> = (0..30).collect();
-            assert_eq!(out, expect, "threads={threads}");
+        for (row_len, len) in [(1usize, 23usize), (5, 30)] {
+            for threads in [1, 2, 4, 9] {
+                let exec = ExecCtx::threaded(threads);
+                let mut out = vec![0usize; len];
+                map_rows_into(&exec, &mut out, row_len, 1, |first_row, rows| {
+                    assert_eq!(rows.len() % row_len, 0, "chunk not row-aligned");
+                    for (i, v) in rows.iter_mut().enumerate() {
+                        *v = first_row * row_len + i;
+                    }
+                });
+                let expect: Vec<usize> = (0..len).collect();
+                assert_eq!(out, expect, "row_len={row_len} threads={threads}");
+            }
         }
     }
 
@@ -201,7 +133,6 @@ mod tests {
     fn empty_buffer_is_noop() {
         let exec = ExecCtx::threaded(4);
         let mut out: Vec<usize> = vec![];
-        map_chunks_into(&exec, &mut out, |_, _| panic!("should not be called"));
         map_rows_into(&exec, &mut out, 4, 1, |_, _| panic!("should not be called"));
     }
 

@@ -14,13 +14,14 @@
 //! Reductions split their input into lanes by position (`lane l` owns
 //! indices `4t + l`), fold the four lane partials as
 //! `(l0 + l1) + (l2 + l3)`, then absorb the tail (`len % 4` elements)
-//! one `mul_add` at a time in ascending order. Elementwise kernels
-//! (`axpy`, `fma_tile4`, `fma_panel4`) perform exactly one
+//! one `mul_add` at a time in ascending order. The kernels are the
+//! reductions [`dot1`] and [`dot_block`] and the elementwise [`axpy`]
+//! and [`fma_panel4`]; the elementwise ones perform exactly one
 //! correctly-rounded `mul_add` per contribution, applied in ascending
 //! reduction-index order, and never reassociate. Because every backend
 //! implements this same schedule with the same IEEE-754 fused ops, a
-//! kernel's output is **bitwise identical across backends, runs, thread
-//! counts, and tilings** — that is the `Simd`-mode determinism contract,
+//! kernel's output is **bitwise identical across backends, runs, and
+//! thread counts** — that is the `Simd`-mode determinism contract,
 //! asserted by the unit tests below and the `exec_determinism`
 //! integration tests. What `Simd` mode does *not* promise is bitwise
 //! equality with the `Scalar` oracle: lane-splitting reassociates dot
@@ -116,43 +117,13 @@ pub fn axpy(out: &mut [f64], alpha: f64, x: &[f64]) {
     }
 }
 
-/// The 4-row register tile of the blocked matmul:
-/// `r_i[j] = a[i].mul_add(b[j], r_i[j])` for `i` in `0..4`. Elementwise
-/// per output (no reassociation); every `r_i` must be exactly
-/// `b.len()` long.
-#[inline]
-pub fn fma_tile4(
-    r0: &mut [f64],
-    r1: &mut [f64],
-    r2: &mut [f64],
-    r3: &mut [f64],
-    a: [f64; 4],
-    b: &[f64],
-) {
-    // Real asserts, not debug: the intrinsic backends do raw-pointer
-    // stores sized by `b.len()`, so these bounds must hold in release
-    // builds too (one branch per call, outside the hot loops).
-    assert!(r0.len() == b.len() && r1.len() == b.len());
-    assert!(r2.len() == b.len() && r3.len() == b.len());
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `backend()` returns `Avx2Fma` only after runtime
-        // detection of both `avx2` and `fma` on this CPU.
-        Backend::Avx2Fma => unsafe { avx2::fma_tile4(r0, r1, r2, r3, a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is a baseline feature of every aarch64 target.
-        Backend::Neon => unsafe { neon::fma_tile4(r0, r1, r2, r3, a, b) },
-        _ => portable::fma_tile4(r0, r1, r2, r3, a, b),
-    }
-}
-
 /// Whole-panel register tile: for each output row `i` in `0..4`,
 /// `r_i[j] += Σ_p a[i][p] * panel[p * jw + j]` with one fused `mul_add`
 /// per contribution in **ascending `p` order** — bitwise identical to
-/// `a[0].len()` successive [`fma_tile4`] calls, but the accumulators
-/// stay in registers across the whole `p` loop instead of the output
-/// rows being re-walked through memory once per `p`. This is what makes
-/// the `Simd` matmul compute-bound rather than L1-traffic-bound.
+/// one [`axpy`] per row and `p`, but the accumulators stay in registers
+/// across the whole `p` loop instead of the output rows being re-walked
+/// through memory once per `p`. This is what makes the `Simd` matmul
+/// compute-bound rather than L1-traffic-bound.
 ///
 /// `jw = r_i.len()` (all four rows equal), `pw = a[i].len()` (all four
 /// equal), and `panel` must hold at least `pw * jw` elements laid out
@@ -261,20 +232,6 @@ mod portable {
         for (o, &v) in out.iter_mut().zip(x) {
             *o = alpha.mul_add(v, *o);
         }
-    }
-
-    pub(super) fn fma_tile4(
-        r0: &mut [f64],
-        r1: &mut [f64],
-        r2: &mut [f64],
-        r3: &mut [f64],
-        a: [f64; 4],
-        b: &[f64],
-    ) {
-        axpy(r0, a[0], b);
-        axpy(r1, a[1], b);
-        axpy(r2, a[2], b);
-        axpy(r3, a[3], b);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -424,43 +381,6 @@ mod avx2 {
         }
         while j < n {
             out[j] = alpha.mul_add(x[j], out[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    // SAFETY: as for `axpy` above; additionally each `r_i` is
-    // `b.len()` long (asserted by the dispatching wrapper).
-    pub(super) unsafe fn fma_tile4(
-        r0: &mut [f64],
-        r1: &mut [f64],
-        r2: &mut [f64],
-        r3: &mut [f64],
-        a: [f64; 4],
-        b: &[f64],
-    ) {
-        let n = b.len();
-        let (va0, va1) = (_mm256_set1_pd(a[0]), _mm256_set1_pd(a[1]));
-        let (va2, va3) = (_mm256_set1_pd(a[2]), _mm256_set1_pd(a[3]));
-        let mut j = 0;
-        while j + 4 <= n {
-            let vb = _mm256_loadu_pd(b.as_ptr().add(j));
-            let v0 = _mm256_loadu_pd(r0.as_ptr().add(j));
-            _mm256_storeu_pd(r0.as_mut_ptr().add(j), _mm256_fmadd_pd(va0, vb, v0));
-            let v1 = _mm256_loadu_pd(r1.as_ptr().add(j));
-            _mm256_storeu_pd(r1.as_mut_ptr().add(j), _mm256_fmadd_pd(va1, vb, v1));
-            let v2 = _mm256_loadu_pd(r2.as_ptr().add(j));
-            _mm256_storeu_pd(r2.as_mut_ptr().add(j), _mm256_fmadd_pd(va2, vb, v2));
-            let v3 = _mm256_loadu_pd(r3.as_ptr().add(j));
-            _mm256_storeu_pd(r3.as_mut_ptr().add(j), _mm256_fmadd_pd(va3, vb, v3));
-            j += 4;
-        }
-        while j < n {
-            let bv = b[j];
-            r0[j] = a[0].mul_add(bv, r0[j]);
-            r1[j] = a[1].mul_add(bv, r1[j]);
-            r2[j] = a[2].mul_add(bv, r2[j]);
-            r3[j] = a[3].mul_add(bv, r3[j]);
             j += 1;
         }
     }
@@ -660,22 +580,6 @@ mod neon {
     }
 
     #[target_feature(enable = "neon")]
-    // SAFETY: as for `axpy`; each `r_i` is `b.len()` long.
-    pub(super) unsafe fn fma_tile4(
-        r0: &mut [f64],
-        r1: &mut [f64],
-        r2: &mut [f64],
-        r3: &mut [f64],
-        a: [f64; 4],
-        b: &[f64],
-    ) {
-        axpy(r0, a[0], b);
-        axpy(r1, a[1], b);
-        axpy(r2, a[2], b);
-        axpy(r3, a[3], b);
-    }
-
-    #[target_feature(enable = "neon")]
     #[allow(clippy::too_many_arguments)]
     // SAFETY: as for `axpy`; additionally the dispatching wrapper
     // asserts `jw = r_i.len()`, `pw = a[i].len()`, and
@@ -847,32 +751,11 @@ mod tests {
     }
 
     #[test]
-    fn fma_tile4_matches_four_axpys() {
-        let n = 29;
-        let b = seq(n, |i| (i as f64 * 1.3).sin());
-        let a = [0.5, -1.25, 3.0, 0.0];
-        let mut rows: Vec<Vec<f64>> = (0..4)
-            .map(|r| seq(n, |i| (r * n + i) as f64 * 0.1))
-            .collect();
-        let mut expect = rows.clone();
-        {
-            let (r0, rest) = rows.split_at_mut(1);
-            let (r1, rest) = rest.split_at_mut(1);
-            let (r2, r3) = rest.split_at_mut(1);
-            fma_tile4(&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], a, &b);
-        }
-        for (r, e) in expect.iter_mut().enumerate() {
-            axpy(e, a[r], &b);
-        }
-        assert_eq!(rows, expect);
-    }
-
-    #[test]
-    fn fma_panel4_matches_successive_tile4_calls() {
+    fn fma_panel4_matches_successive_axpys() {
         // The register-resident panel kernel must be bitwise identical
-        // to applying `fma_tile4` once per `p` — same per-element
-        // ascending-`p` fused chain, only the residency differs. Ragged
-        // widths exercise the 8-, 4-, and scalar-column paths.
+        // to one `axpy` per row and `p` — same per-element ascending-`p`
+        // fused chain, only the residency differs. Ragged widths
+        // exercise the 8-, 4-, and scalar-column paths.
         for (jw, pw) in [(1usize, 3usize), (4, 7), (7, 5), (11, 1), (19, 6), (24, 9)] {
             let panel = seq(pw * jw, |i| ((i * 29) % 83) as f64 * 0.03 - 1.1);
             let a_rows: Vec<Vec<f64>> = (0..4)
@@ -897,11 +780,9 @@ mod tests {
             }
             for pp in 0..pw {
                 let b = &panel[pp * jw..(pp + 1) * jw];
-                let a = [a_rows[0][pp], a_rows[1][pp], a_rows[2][pp], a_rows[3][pp]];
-                let (e0, rest) = expect.split_at_mut(1);
-                let (e1, rest) = rest.split_at_mut(1);
-                let (e2, e3) = rest.split_at_mut(1);
-                fma_tile4(&mut e0[0], &mut e1[0], &mut e2[0], &mut e3[0], a, b);
+                for (e, a) in expect.iter_mut().zip(&a_rows) {
+                    axpy(e, a[pp], b);
+                }
             }
             for r in 0..4 {
                 let got: Vec<u64> = rows[r].iter().map(|v| v.to_bits()).collect();

@@ -23,6 +23,44 @@ fn matrix_pair_same_shape(max_dim: usize) -> impl Strategy<Value = (Matrix, Matr
     })
 }
 
+/// Textbook triple loop with ascending-`k` accumulation per element —
+/// the order the blocked kernel guarantees. `fused` accumulates with
+/// `mul_add` (the `Simd` kernel's rounding), otherwise `acc += a * b`
+/// (the `Scalar` kernel's).
+fn naive_matmul(a: &Matrix, b: &Matrix, fused: bool) -> Matrix {
+    let (m, k) = a.shape();
+    let n = b.ncols();
+    let mut naive = Matrix::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f64;
+            for p in 0..k {
+                let (x, y) = (a.get(i, p), b.get(p, j));
+                acc = if fused {
+                    x.mul_add(y, acc)
+                } else {
+                    acc + x * y
+                };
+            }
+            naive.set(i, j, acc);
+        }
+    }
+    naive
+}
+
+/// Deterministic operand with mixed signs and no exact zeros.
+fn mk(rows: usize, cols: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |i, j| {
+        (((i * 31 + j * 17 + salt * 7) % 97) as f64 - 48.5) * 0.37
+    })
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+const MODES: [(KernelMode, bool); 2] = [(KernelMode::Scalar, false), (KernelMode::Simd, true)];
+
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f64) -> bool {
     a.shape() == b.shape()
         && a.as_slice()
@@ -41,21 +79,23 @@ proptest! {
     fn matmul_identity_left_right(m in small_matrix(6)) {
         let il = Matrix::identity(m.nrows());
         let ir = Matrix::identity(m.ncols());
-        prop_assert!(approx_eq(&il.matmul(&m).unwrap(), &m, 1e-12));
-        prop_assert!(approx_eq(&m.matmul(&ir).unwrap(), &m, 1e-12));
+        let serial = ExecCtx::serial();
+        prop_assert!(approx_eq(&il.matmul_with(&m, &serial).unwrap(), &m, 1e-12));
+        prop_assert!(approx_eq(&m.matmul_with(&ir, &serial).unwrap(), &m, 1e-12));
     }
 
     #[test]
     fn matmul_transpose_identities(m in small_matrix(6), n in small_matrix(6)) {
         // (A B^T) with matching inner dims, checked against explicit transpose.
+        let serial = ExecCtx::serial();
         if m.ncols() == n.ncols() {
-            let fast = m.matmul_transpose_b(&n).unwrap();
-            let slow = m.matmul(&n.transpose()).unwrap();
+            let fast = m.matmul_transpose_b_with(&n, &serial).unwrap();
+            let slow = m.matmul_with(&n.transpose(), &serial).unwrap();
             prop_assert!(approx_eq(&fast, &slow, 1e-9));
         }
         if m.nrows() == n.nrows() {
-            let fast = m.matmul_transpose_a(&n).unwrap();
-            let slow = m.transpose().matmul(&n).unwrap();
+            let fast = m.matmul_transpose_a_with(&n, &serial).unwrap();
+            let slow = m.transpose().matmul_with(&n, &serial).unwrap();
             prop_assert!(approx_eq(&fast, &slow, 1e-9));
         }
     }
@@ -74,7 +114,7 @@ proptest! {
 
     #[test]
     fn pairwise_sqdist_matches_naive((a, b) in matrix_pair_same_shape(6)) {
-        let d = a.pairwise_sqdist(&b).unwrap();
+        let d = a.pairwise_sqdist_with(&b, &ExecCtx::serial()).unwrap();
         for i in 0..a.nrows() {
             for j in 0..b.nrows() {
                 let naive = ops::sqdist(a.row(i), b.row(j));
@@ -87,7 +127,7 @@ proptest! {
 
     #[test]
     fn self_distance_diag_is_small(m in small_matrix(6)) {
-        let d = m.pairwise_sqdist(&m).unwrap();
+        let d = m.pairwise_sqdist_with(&m, &ExecCtx::serial()).unwrap();
         for i in 0..m.nrows() {
             prop_assert!(d.get(i, i).abs() <= 1e-6 * (1.0 + ops::sq_norm(m.row(i))));
         }
@@ -131,12 +171,12 @@ proptest! {
     fn parallel_matches_serial(n in 0usize..200, threads in 1usize..8) {
         let serial_ctx = ExecCtx::serial();
         let mut serial = vec![0u64; n];
-        kr_linalg::parallel::map_chunks_into(&serial_ctx, &mut serial, |start, s| {
+        kr_linalg::parallel::map_rows_into(&serial_ctx, &mut serial, 1, 1, |start, s| {
             for (i, v) in s.iter_mut().enumerate() { *v = ((start + i) * 7) as u64; }
         });
         let par_ctx = ExecCtx::threaded(threads);
         let mut par = vec![0u64; n];
-        kr_linalg::parallel::map_chunks_into(&par_ctx, &mut par, |start, s| {
+        kr_linalg::parallel::map_rows_into(&par_ctx, &mut par, 1, 1, |start, s| {
             for (i, v) in s.iter_mut().enumerate() { *v = ((start + i) * 7) as u64; }
         });
         prop_assert_eq!(serial, par);
@@ -151,38 +191,16 @@ proptest! {
                 .prop_map(move |v| Matrix::from_vec(k, n, v).unwrap());
             (a, b)
         }),
-        threads in 1usize..5,
     ) {
-        // Reference: textbook triple loop, ascending-k accumulation per
-        // element — the order the blocked kernel guarantees bitwise.
-        let (m, k) = a.shape();
-        let n = b.ncols();
-        let mut naive = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a.get(i, p) * b.get(p, j);
-                }
-                naive.set(i, j, acc);
-            }
-        }
-        // Pin `Scalar` explicitly: the naive reference above uses
-        // unfused `acc += a * b`, which only the scalar kernel matches
-        // bitwise (`KR_KERNEL=simd` would flip the env default).
+        // Pin `Scalar` explicitly: the unfused naive reference only
+        // matches the scalar kernel bitwise (`KR_KERNEL=simd` would flip
+        // the env default).
         let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
-        let blocked = a.matmul_with(&b, &scalar).unwrap();
-        prop_assert_eq!(&blocked, &naive);
-        // Tiny tiles force every panel boundary; threads exercise the
-        // pool. Both must still be bitwise identical.
-        let ctx = ExecCtx::threaded(threads)
-            .with_kernel_mode(KernelMode::Scalar)
-            .with_tiling(kr_linalg::Tiling { mc: 3, kc: 2, nc: 5 });
-        prop_assert_eq!(&a.matmul_with(&b, &ctx).unwrap(), &naive);
+        prop_assert_eq!(&a.matmul_with(&b, &scalar).unwrap(), &naive_matmul(&a, &b, false));
     }
 
     #[test]
-    fn blocked_kernels_thread_and_tile_invariant(
+    fn blocked_kernels_thread_invariant(
         (a, b) in (1usize..10, 1usize..10, 1usize..10).prop_flat_map(|(m, k, n)| {
             let a = proptest::collection::vec(-50.0..50.0f64, m * k)
                 .prop_map(move |v| Matrix::from_vec(m, k, v).unwrap());
@@ -192,25 +210,24 @@ proptest! {
         }),
         threads in 2usize..5,
     ) {
-        let ctx = ExecCtx::threaded(threads)
-            .with_tiling(kr_linalg::Tiling { mc: 2, kc: 3, nc: 3 });
+        let (ctx, serial) = (ExecCtx::threaded(threads), ExecCtx::serial());
         prop_assert_eq!(
             a.matmul_transpose_b_with(&b, &ctx).unwrap(),
-            a.matmul_transpose_b(&b).unwrap()
+            a.matmul_transpose_b_with(&b, &serial).unwrap()
         );
         prop_assert_eq!(
             a.pairwise_sqdist_with(&b, &ctx).unwrap(),
-            a.pairwise_sqdist(&b).unwrap()
+            a.pairwise_sqdist_with(&b, &serial).unwrap()
         );
         prop_assert_eq!(
             a.matmul_transpose_a_with(&a, &ctx).unwrap(),
-            a.matmul_transpose_a(&a).unwrap()
+            a.matmul_transpose_a_with(&a, &serial).unwrap()
         );
     }
 
     /// `Simd` matmul fuses each multiply-add but keeps the per-element
     /// ascending-`k` order, so it matches a naive loop that uses
-    /// `mul_add` bitwise — across threads and tile boundaries.
+    /// `mul_add` bitwise.
     #[test]
     fn simd_matmul_equals_fused_naive(
         (a, b) in (1usize..12, 1usize..12, 1usize..12).prop_flat_map(|(m, k, n)| {
@@ -220,26 +237,9 @@ proptest! {
                 .prop_map(move |v| Matrix::from_vec(k, n, v).unwrap());
             (a, b)
         }),
-        threads in 1usize..5,
     ) {
-        let (m, k) = a.shape();
-        let n = b.ncols();
-        let mut naive = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc = a.get(i, p).mul_add(b.get(p, j), acc);
-                }
-                naive.set(i, j, acc);
-            }
-        }
         let simd = ExecCtx::serial().with_kernel_mode(KernelMode::Simd);
-        prop_assert_eq!(&a.matmul_with(&b, &simd).unwrap(), &naive);
-        let ctx = ExecCtx::threaded(threads)
-            .with_kernel_mode(KernelMode::Simd)
-            .with_tiling(kr_linalg::Tiling { mc: 3, kc: 2, nc: 5 });
-        prop_assert_eq!(&a.matmul_with(&b, &ctx).unwrap(), &naive);
+        prop_assert_eq!(&a.matmul_with(&b, &simd).unwrap(), &naive_matmul(&a, &b, true));
     }
 
     /// Every `Simd` kernel agrees with its `Scalar` oracle to 1e-10
@@ -304,5 +304,76 @@ proptest! {
             a.pairwise_sqdist_with(&b, &scalar).unwrap(),
             a.pairwise_sqdist_with(&b, &simd).unwrap()
         );
+    }
+}
+
+// The blocked kernels use fixed 64 x 256 x 1024 tiles (rows x shared x
+// columns) and at most one worker chunk per 64 output rows. The random
+// shapes above stay inside one tile, so these cases cross each edge on
+// purpose.
+
+/// 258 shared steps cross a KC panel and 1026 columns cross an NC slab,
+/// so the B panel is packed; 5 rows take one 4-row tile and one
+/// remainder row. Both modes must equal their naive loop bitwise.
+#[test]
+fn matmul_across_panel_and_slab_equals_naive() {
+    let a = mk(5, 258, 1);
+    let b = mk(258, 1026, 2);
+    for (mode, fused) in MODES {
+        let exec = ExecCtx::serial().with_kernel_mode(mode);
+        let got = a.matmul_with(&b, &exec).unwrap();
+        assert_eq!(bits(&got), bits(&naive_matmul(&a, &b, fused)), "{mode:?}");
+    }
+}
+
+/// 66 output rows split into two worker chunks; each packs its own
+/// slab (1026 columns) or crosses a KC panel (258 shared steps).
+#[test]
+fn matmul_row_chunks_equal_naive_at_1_2_8_workers() {
+    for (m, k, n) in [(66, 9, 1026), (66, 258, 9)] {
+        let a = mk(m, k, 3);
+        let b = mk(k, n, 4);
+        for (mode, fused) in MODES {
+            let want = bits(&naive_matmul(&a, &b, fused));
+            for workers in [1, 2, 8] {
+                let exec = ExecCtx::threaded(workers).with_kernel_mode(mode);
+                let got = a.matmul_with(&b, &exec).unwrap();
+                assert_eq!(bits(&got), want, "{mode:?} {m}x{k}x{n} workers={workers}");
+            }
+        }
+    }
+}
+
+/// A 1030-row rhs crosses an NC slab in `matmul_transpose_b_with` and
+/// `pairwise_sqdist_with`, and 66 lhs rows (66 output rows of
+/// `matmul_transpose_a_with`) split into two worker chunks. Every worker
+/// count must equal serial; in `Scalar` mode the slab crossing must also
+/// equal `ops::dot` bitwise.
+#[test]
+fn transposed_and_distance_kernels_across_slab_match_serial() {
+    let x = mk(66, 5, 5);
+    let y = mk(1030, 5, 6);
+    let a = mk(7, 66, 7);
+    let b = mk(7, 9, 8);
+    let run = |exec: &ExecCtx| {
+        let mut out = bits(&x.matmul_transpose_b_with(&y, exec).unwrap());
+        out.extend(bits(&x.pairwise_sqdist_with(&y, exec).unwrap()));
+        out.extend(bits(&a.matmul_transpose_a_with(&b, exec).unwrap()));
+        out
+    };
+    for (mode, _) in MODES {
+        let serial = run(&ExecCtx::serial().with_kernel_mode(mode));
+        for workers in [1, 2, 8] {
+            let exec = ExecCtx::threaded(workers).with_kernel_mode(mode);
+            assert_eq!(run(&exec), serial, "{mode:?} workers={workers}");
+        }
+    }
+    let scalar = ExecCtx::serial().with_kernel_mode(KernelMode::Scalar);
+    let dots = x.matmul_transpose_b_with(&y, &scalar).unwrap();
+    for i in 0..x.nrows() {
+        for j in 0..y.nrows() {
+            let want = ops::dot(x.row(i), y.row(j));
+            assert_eq!(dots.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+        }
     }
 }

@@ -167,13 +167,6 @@ impl MiniBatchKrKMeans {
         self
     }
 
-    /// Sets the thread budget (shorthand for an [`ExecCtx`] on the
-    /// global pool; results are identical at any thread count).
-    pub fn with_threads(self, threads: usize) -> Self {
-        let exec = self.exec.clone().with_threads(threads);
-        self.with_exec(exec)
-    }
-
     /// Sets the execution context used by the per-batch assignment step.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use ::kr_core::aggregator::Aggregator;
     pub use ::kr_core::kmeans::KMeans;
     pub use ::kr_core::kr_kmeans::KrKMeans;
-    pub use ::kr_linalg::{ExecCtx, Matrix, ThreadPool, Tiling};
+    pub use ::kr_linalg::{ExecCtx, Matrix, ThreadPool};
     pub use ::kr_metrics::{
         adjusted_rand_index, inertia, normalized_mutual_information,
         unsupervised_clustering_accuracy,
