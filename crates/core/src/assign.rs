@@ -1588,8 +1588,13 @@ pub(crate) fn exhaustive_otf(
 
 /// Persistent center–center lower bounds for streaming assignment.
 ///
-/// Mini-batch fitters call [`CcBounds::sync`] once per batch with the
-/// current centroids and then [`CcBounds::assign`] on the batch. `sync`
+/// No library path calls this type: the mini-batch fitter assigns with
+/// the exhaustive scan, which measured faster than keeping these bounds
+/// in step. It stays only because perfbench's `replay_minibatch` still
+/// imports it.
+///
+/// A caller runs [`CcBounds::sync`] once per batch with the current
+/// centroids and then [`CcBounds::assign`] on the batch. `sync`
 /// measures the exact per-centroid drift since the previous snapshot
 /// and *decays* the stored pairwise lower bounds by it (each entry
 /// `cc[a][b]` shrinks by `drift_a + drift_b`, the triangle-inequality

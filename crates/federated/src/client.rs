@@ -162,7 +162,13 @@ impl<'a> ShardClient<'a> {
     /// A mask-carrying broadcast is answered with [`Msg::MaskedStats`]:
     /// the same statistics, serialized to words and pairwise-masked
     /// under the broadcast's [`MaskSpec`](crate::protocol::MaskSpec).
-    fn answer_broadcast(&self, b: &crate::protocol::Broadcast) -> Msg {
+    ///
+    /// Rounds start only after the bootstrap, so the first broadcast
+    /// releases the D² state: a late `SeedSelect` then walks an empty
+    /// vector and answers `found: false`, which the server falls back
+    /// from.
+    fn answer_broadcast(&mut self, b: &crate::protocol::Broadcast) -> Msg {
+        self.d2 = Vec::new();
         let centroids = b.summary.materialize();
         let stats = compute_local_stats(self.data, &centroids, b.round, &self.exec);
         match &b.mask {
@@ -209,6 +215,31 @@ mod tests {
         // A target past the total mass walks off the end.
         let Step::Reply(Msg::SeedPick { found, .. }) =
             c.handle(&Msg::SeedSelect { target: 999.0 }).unwrap()
+        else {
+            panic!("expected pick");
+        };
+        assert!(!found);
+    }
+
+    #[test]
+    fn first_broadcast_releases_the_seeding_state() {
+        let data = shard();
+        let mut c = ShardClient::new(0, &data, ExecCtx::serial());
+        c.handle(&Msg::SeedInit {
+            row: vec![0.0, 0.0],
+        })
+        .unwrap();
+        assert!(c.d2.capacity() > 0);
+        c.handle(&Msg::Broadcast(Broadcast {
+            round: 0,
+            eval_only: false,
+            mask: None,
+            summary: Summary::Centroids(Matrix::from_rows(&[vec![0.0, 0.0]]).unwrap()),
+        }))
+        .unwrap();
+        assert_eq!(c.d2.capacity(), 0);
+        let Step::Reply(Msg::SeedPick { found, .. }) =
+            c.handle(&Msg::SeedSelect { target: 0.0 }).unwrap()
         else {
             panic!("expected pick");
         };

@@ -21,6 +21,12 @@
 //! gone); their statistics stay frozen under the labels they got when
 //! they streamed past — the standard mini-batch staleness trade-off.
 //!
+//! Each batch is assigned by the exhaustive nearest-centroid scan
+//! ([`nearest_assignments_with`]). Every point streams past once, so a
+//! per-point distance bound never gets a second pass to pay for itself,
+//! and cross-batch center–center bounds cost more to keep in step with
+//! the moving centroids than they save.
+//!
 //! Memory: `O((Σ h_l + ∏ h_l) · m)` — protocentroids plus the
 //! sufficient-statistics block — independent of the stream length.
 //!
@@ -45,20 +51,13 @@ use kr_core::aggregator::Aggregator;
 /// [`MiniBatchKrModel::last_batch_inertia`]), so the summarizer's state
 /// stays bounded no matter how many batches the stream delivers.
 const TELEMETRY_CAP: usize = 1024;
-use kr_core::assign::{CcBounds, PruneStats};
 use kr_core::kmeans::nearest_assignments_with;
 use kr_core::kr_kmeans::{prop61_update_from_stats, KrKMeans};
 use kr_core::operator::khatri_rao;
 use kr_core::stats::SuffStats;
 use kr_core::{CoreError, Result};
 use kr_datasets::weighted::WeightedDataset;
-use kr_linalg::{ExecCtx, Matrix, PruneMode};
-
-/// Largest materialized centroid count for which the streaming path
-/// keeps a persistent `k x k` center–center bound matrix. Beyond this
-/// the quadratic bound state would dwarf the summary itself, so the
-/// batch assignment falls back to the exhaustive scan.
-const CC_BOUNDS_MAX_K: usize = 512;
+use kr_linalg::{ExecCtx, Matrix};
 
 /// Streaming mini-batch KR-k-Means runner (builder style).
 ///
@@ -86,12 +85,6 @@ struct MbState {
     n_observed: usize,
     batch_inertia: Vec<f64>,
     last_batch_inertia: f64,
-    /// Persistent center–center lower bounds surviving across batches
-    /// (`None` when pruning is off or `k` exceeds [`CC_BOUNDS_MAX_K`]).
-    /// Each batch measures the centroid drift since the previous one and
-    /// decays the bounds by it, so stale bounds can never mis-assign —
-    /// the assignment stays bitwise identical to the exhaustive scan.
-    pruner: Option<CcBounds>,
 }
 
 /// The model a finished [`MiniBatchKrKMeans`] stream produces.
@@ -167,7 +160,8 @@ impl MiniBatchKrKMeans {
         self
     }
 
-    /// Sets the execution context used by the per-batch assignment step.
+    /// Sets the execution context used by the first-batch seeding fit
+    /// and the per-batch assignment step.
     pub fn with_exec(mut self, exec: ExecCtx) -> Self {
         self.exec = exec;
         self
@@ -196,39 +190,13 @@ impl MiniBatchKrKMeans {
             .with_exec(self.exec.clone())
             .fit(batch)?;
         let k: usize = self.hs.iter().product();
-        let pruner = if self.exec.prune_mode() != PruneMode::Off && k <= CC_BOUNDS_MAX_K {
-            Some(CcBounds::default())
-        } else {
-            None
-        };
         Ok(MbState {
             sets: fit.protocentroids,
             acc: SuffStats::zeros(k, batch.ncols()),
             n_observed: 0,
             batch_inertia: Vec::new(),
             last_batch_inertia: f64::NAN,
-            pruner,
         })
-    }
-
-    /// Distance-evaluation pruning counters accumulated by the
-    /// persistent cross-batch bounds so far (zeros when pruning is off).
-    pub fn prune_stats(&self) -> PruneStats {
-        self.state
-            .as_ref()
-            .and_then(|s| s.pruner.as_ref())
-            .map_or_else(PruneStats::default, |p| p.stats())
-    }
-
-    /// How many times the persistent center–center bound matrix was
-    /// rebuilt from exact distances (including the initial build) —
-    /// measured drift past the decay budget forces a rebuild, the
-    /// invalidation path the streaming regression test pins.
-    pub fn prune_rebuilds(&self) -> u64 {
-        self.state
-            .as_ref()
-            .and_then(|s| s.pruner.as_ref())
-            .map_or(0, |p| p.rebuilds())
     }
 }
 
@@ -256,15 +224,9 @@ impl StreamSummarizer for MiniBatchKrKMeans {
             )));
         }
         let centroids = khatri_rao(&state.sets, self.aggregator).expect("validated sets");
-        let (labels, dmin) = match state.pruner.as_mut() {
-            Some(pruner) => {
-                // Bounds persist from the previous batch; sync measures
-                // the centroid drift since then and decays (or rebuilds)
-                // them before they gate this batch's scan.
-                pruner.sync(&centroids);
-                pruner.assign(batch, &centroids, &self.exec)
-            }
-            None => nearest_assignments_with(batch, &centroids, &self.exec),
+        let (labels, dmin) = {
+            let _assign_span = kr_obs::span!("stream.assign", "k" => centroids.nrows());
+            nearest_assignments_with(batch, &centroids, &self.exec)
         };
         state.last_batch_inertia = dmin.iter().sum();
         kr_obs::gauge!("stream.batch_inertia", state.last_batch_inertia);
@@ -321,6 +283,7 @@ impl StreamSummarizer for MiniBatchKrKMeans {
 mod tests {
     use super::*;
     use kr_datasets::stream::ChunkedReplay;
+    use kr_linalg::PruneMode;
 
     fn run_stream(exec: ExecCtx, batch: usize) -> MiniBatchKrModel {
         let ds = kr_datasets::synthetic::blobs(240, 2, 9, 0.3, 21);
@@ -406,12 +369,12 @@ mod tests {
     }
 
     #[test]
-    fn persistent_bounds_match_exhaustive_and_invalidate_on_drift() {
-        // Regression test for the cross-batch bound path: a stream whose
-        // batches come from *shifting* distributions drags the centroids
-        // along (Prop 6.1 updates follow the data), which must (a) never
-        // change a single output bit vs. the pruning-off path and
-        // (b) eventually blow the decay budget and force bound rebuilds.
+    fn drifting_stream_is_bitwise_equal_with_pruning_on_and_off() {
+        // A stream whose batches come from *shifting* distributions drags
+        // the centroids along (Prop 6.1 updates follow the data). The
+        // prune mode reaches the first-batch seeding fit, whose bounded
+        // engine must not change a single output bit vs. the pruning-off
+        // path.
         let run = |mode: PruneMode| {
             let mut mb = MiniBatchKrKMeans::new(vec![2, 2])
                 .with_seed(9)
@@ -424,14 +387,10 @@ mod tests {
                     Matrix::from_fn(24, 2, |i, j| ((i * 3 + j * 5) % 11) as f64 * 0.5 + shift);
                 mb.observe(&batch).unwrap();
             }
-            let rebuilds = mb.prune_rebuilds();
-            let stats = mb.prune_stats();
-            (mb.finalize().unwrap(), rebuilds, stats)
+            mb.finalize().unwrap()
         };
-        let (reference, ref_rebuilds, ref_stats) = run(PruneMode::Off);
-        assert_eq!(ref_rebuilds, 0, "pruning off must not build bounds");
-        assert_eq!(ref_stats, PruneStats::default());
-        let (pruned, rebuilds, stats) = run(PruneMode::On);
+        let reference = run(PruneMode::Off);
+        let pruned = run(PruneMode::On);
         assert_eq!(pruned.protocentroids, reference.protocentroids);
         for (a, b) in pruned.batch_inertia.iter().zip(&reference.batch_inertia) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -440,28 +399,54 @@ mod tests {
             pruned.last_batch_inertia.to_bits(),
             reference.last_batch_inertia.to_bits()
         );
-        // Drift measured against the snapshots exceeded the decay budget
-        // at least once past the initial build.
-        assert!(rebuilds >= 2, "rebuilds {rebuilds}");
-        assert!(stats.dists_computed > 0);
-        assert!(stats.bound_updates > 0);
     }
 
     #[test]
     fn exec_determinism_pool_1_2_8_workers() {
         use kr_linalg::ThreadPool;
         use std::sync::Arc;
+        // Product aggregation needs positive coordinates to be a sensible
+        // model; shift the blobs clear of the origin.
+        let positive = kr_datasets::synthetic::blobs(240, 2, 9, 0.3, 21)
+            .data
+            .map(|v| v + 20.0);
+        let run_product = |exec: ExecCtx| {
+            let mut mb = MiniBatchKrKMeans::new(vec![3, 3])
+                .with_aggregator(Aggregator::Product)
+                .with_seed(5)
+                .with_exec(exec);
+            for b in ChunkedReplay::new(&positive, 60, 2) {
+                mb.observe(&b).unwrap();
+            }
+            mb.finalize().unwrap()
+        };
         let reference = run_stream(ExecCtx::serial(), 60);
-        for workers in [1usize, 2, 8] {
-            let pool = Arc::new(ThreadPool::new(workers));
-            let exec = ExecCtx::threaded(workers + 1).with_pool(Arc::clone(&pool));
-            let model = run_stream(exec, 60);
-            assert_eq!(
-                model.protocentroids, reference.protocentroids,
-                "workers={workers}"
-            );
-            for (a, b) in model.batch_inertia.iter().zip(&reference.batch_inertia) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
+        let product_reference = run_product(ExecCtx::serial());
+        let mut variants: Vec<(String, ExecCtx)> = [1usize, 2, 8]
+            .into_iter()
+            .map(|workers| {
+                let pool = Arc::new(ThreadPool::new(workers));
+                let exec = ExecCtx::threaded(workers + 1).with_pool(pool);
+                (format!("workers={workers}"), exec)
+            })
+            .collect();
+        variants.push((
+            "prune=Off".into(),
+            ExecCtx::serial().with_prune_mode(PruneMode::Off),
+        ));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (ctx, exec) in variants {
+            for (model, expect) in [
+                (run_stream(exec.clone(), 60), &reference),
+                (run_product(exec), &product_reference),
+            ] {
+                let agg = model.aggregator;
+                assert_eq!(model.protocentroids, expect.protocentroids, "{ctx} {agg:?}");
+                assert_eq!(
+                    bits(&model.batch_inertia),
+                    bits(&expect.batch_inertia),
+                    "{ctx} {agg:?}"
+                );
             }
         }
     }

@@ -191,13 +191,19 @@ fn minibatch_stream_is_bitwise_invisible() {
 
         assert_valid_trace(
             &snapshot,
-            &["stream.batch", "stream.batch_rows", "stream.batch_inertia"],
+            &[
+                "stream.batch",
+                "stream.assign",
+                "stream.batch_rows",
+                "stream.batch_inertia",
+            ],
         );
         assert_eq!(
             snapshot.span_durations("stream.batch").len(),
             12,
             "one span per batch"
         );
+        assert_eq!(snapshot.span_durations("stream.assign").len(), 12);
         assert_eq!(snapshot.counter_total("stream.batch_rows"), 600);
         // The recorded inertia gauges are the model's own telemetry.
         let gauges: Vec<u64> = snapshot
