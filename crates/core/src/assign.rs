@@ -18,17 +18,26 @@
 //! assignment, or the running best of the scan). The final minimum is
 //! never larger than that gate, so every skipped candidate satisfies
 //! `d_c > final_min` strictly — it can change neither the argmin nor a
-//! tie. Undecided candidates are evaluated with the caller's exact
-//! kernel expression in the same ascending order (reusing the
-//! already-computed bits where the expression repeats), which makes the
-//! surviving comparison chain — hence labels and distances — identical
-//! by construction. Bounds only ever *remove provably-losing work*;
-//! they never substitute a value.
+//! tie. Undecided candidates are evaluated with the exact kernel in the
+//! same ascending order (reusing the already-computed bits where a
+//! candidate repeats), which makes the surviving comparison chain —
+//! hence labels and distances — identical by construction. Bounds only
+//! ever *remove provably-losing work*; they never substitute a value.
 //!
-//! Floating-point certification uses one conservative additive error
-//! term for the expanded kernel `‖x‖² + ‖c‖² − 2⟨x,c⟩` (see
-//! `kernel_error_bound`) plus relative slack on every square root and
-//! bound decay, so a bound can under-prune but never mis-prune.
+//! ## One exact kernel
+//!
+//! Every exact distance here is the direct sum of squares
+//! `ops::sqdist(x, c)`, the kernel of
+//! [`crate::kmeans::nearest_centroid`], of the federated clients and of
+//! `kr_metrics::inertia`, so a fitted model's inertia equals the
+//! scorer's bitwise. The direct form does not cancel: its rounding error
+//! is at most `γ_{m+2}·D ≤ γ_{m+2}·(‖x‖ + ‖c‖)²` for a true squared
+//! distance `D` (absent underflow), so fits stay exact under translation.
+//! The expanded form `‖x‖² + ‖c‖² − 2⟨x,c⟩` survives only in the factored
+//! filter's scores `F_c` below, which decide skips and never an output
+//! bit. One conservative additive error term, `kernel_error_bound`,
+//! covers both forms, and relative slack on every square root and bound
+//! decay does the rest, so a bound can under-prune but never mis-prune.
 //!
 //! ## Bound structure
 //!
@@ -56,11 +65,11 @@
 //! F_c = ‖x‖² + ‖μ_c‖² − 2·Σ_l s_l[c_l]
 //! ```
 //!
-//! in one branch-free pass (`‖μ_c‖²` carries the exact kernel's bits).
-//! `F_c` is not the kernel value `K_c` the exhaustive scan computes —
-//! it sums differently rounded terms — but `factored_error_bound`
-//! gives an additive `E ≥ |F_c − K_c|` (and `≥ |F_c − D_c|` against the
-//! true squared distance): the kernel error of both expressions, plus
+//! in one branch-free pass. `F_c` is not the kernel value `K_c` the
+//! exhaustive scan computes — it is the expanded form, with differently
+//! rounded terms — but `factored_error_bound` gives an additive
+//! `E ≥ |F_c − K_c|` (and `≥ |F_c − D_c|` against the true squared
+//! distance): the kernel error of both expressions, plus
 //! `γ`-style terms for the per-set dot products and for rounding
 //! `μ_c = fl(Σ_l θ_l)`, scaled by `‖x‖_max · Σ_l max_j ‖θ_l^j‖`, plus an
 //! absolute underflow floor; it is `+∞` (no skipping at all) unless
@@ -73,8 +82,8 @@
 //! `K_c > gate ≥ final_min` — exactly the skip condition above, so
 //! labels and distances stay bitwise equal to the exhaustive scans.
 //! Survivors are evaluated in ascending order with the exact kernel
-//! expression of their path (the materialized grid row, or `μ_c`
-//! re-aggregated on the fly). The point's lower bound for the next
+//! against the centroid of their path (the materialized grid row, or
+//! `μ_c` re-aggregated on the fly). The point's lower bound for the next
 //! iteration comes from the smallest score among the non-winning
 //! candidates.
 //!
@@ -104,6 +113,7 @@
 //! `assign.pass` span labelled with `k`.
 
 use crate::aggregator::Aggregator;
+use crate::kmeans::nearest_centroid;
 use crate::operator::{aggregate_tuple_into, CentroidIndexer};
 use kr_linalg::{ops, parallel, simd, ExecCtx, Matrix, PruneMode, Scratch};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,11 +212,13 @@ impl SharedStats {
 /// Relative slack applied to every square root and decay step.
 const REL_SLACK: f64 = 1e-12;
 
-/// Additive bound on `|computed − true|` for the expanded squared
-/// distance `‖x‖² + ‖c‖² − 2⟨x,c⟩` at dimension `m`: the classic
-/// `γ_m`-style term scaled by the largest magnitudes involved, with a
-/// generous headroom constant. `2⁻⁴⁸ ≈ 16·ε` absorbs both the dot
-/// products and the final cancellation.
+/// Additive bound `(m + 64)·2⁻⁴⁸·(‖x‖ + ‖c‖)²` on `|computed − true|`
+/// for a squared distance at dimension `m`, with `‖x‖`, `‖c‖` the
+/// largest magnitudes involved. It covers both forms in use (module
+/// docs): the exact kernel `ops::sqdist`, whose error is at most
+/// `γ_{m+2}·D ≤ γ_{m+2}·(‖x‖ + ‖c‖)²`, and the expanded form
+/// `‖x‖² + ‖c‖² − 2⟨x,c⟩`, whose dot products and final cancellation
+/// `2⁻⁴⁸ ≈ 16·ε` absorbs with generous headroom.
 fn kernel_error_bound(m: usize, max_x_sq: f64, max_c_sq: f64) -> f64 {
     let x = if max_x_sq > 0.0 { max_x_sq } else { 0.0 };
     let c = if max_c_sq > 0.0 { max_c_sq } else { 0.0 };
@@ -245,6 +257,18 @@ fn max_or_nan(v: &[f64]) -> f64 {
     for &x in v {
         if x > mx || x.is_nan() {
             mx = x;
+        }
+    }
+    mx
+}
+
+/// Largest squared row norm of `rows` (0 when there are none).
+fn max_sq_norm(rows: &Matrix) -> f64 {
+    let mut mx = 0.0;
+    for r in rows.rows_iter() {
+        let v = ops::sq_norm(r);
+        if v > mx {
+            mx = v;
         }
     }
     mx
@@ -409,10 +433,10 @@ impl AssignEngine {
         }
     }
 
-    /// Caches per-point norms for `data` and invalidates every bound.
-    /// Must be called before the first `assign_*` on a dataset; the
-    /// cached norms are the same `dot(x, x)` bits the exhaustive kernels
-    /// recompute per point, so caching is bitwise-neutral.
+    /// Caches per-point squared norms for `data` and invalidates every
+    /// bound. Must be called before the first `assign_*` on a dataset.
+    /// The norms feed the error bound, the factored filter's scores and
+    /// the tuple sweep's norm gate, never an output bit.
     pub fn begin_fit(&mut self, data: &Matrix) {
         let (n, m) = data.shape();
         self.n = n;
@@ -549,9 +573,9 @@ impl AssignEngine {
                 }
             }
             self.stats.add(0, 0, k as u64);
-            self.hamerly_pass(data, centroids, &c_norms, err, delta_max, fz.as_ref());
+            self.hamerly_pass(data, centroids, err, delta_max, fz.as_ref());
         } else {
-            self.init_dense_pass(data, centroids, &c_norms, err, fz.as_ref());
+            self.init_dense_pass(data, centroids, err, fz.as_ref());
             self.ready = true;
         }
         for c in 0..k {
@@ -585,7 +609,6 @@ impl AssignEngine {
         &mut self,
         data: &Matrix,
         centroids: &Matrix,
-        c_norms: &[f64],
         err: f64,
         fz: Option<&Factored>,
     ) {
@@ -605,16 +628,7 @@ impl AssignEngine {
                 for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
                     let i = start + off;
                     let filter = fz.zip(bufs.as_mut());
-                    let (c, s) = rescan(
-                        row,
-                        data.row(i),
-                        x_norms[i],
-                        centroids,
-                        c_norms,
-                        err,
-                        None,
-                        filter,
-                    );
+                    let (c, s) = rescan(row, data.row(i), x_norms[i], centroids, err, None, filter);
                     comp += c;
                     skip += s;
                     upd += 1;
@@ -637,7 +651,6 @@ impl AssignEngine {
         &mut self,
         data: &Matrix,
         centroids: &Matrix,
-        c_norms: &[f64],
         err: f64,
         delta_max: f64,
         fz: Option<&Factored>,
@@ -659,22 +672,20 @@ impl AssignEngine {
                 for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
                     let i = start + off;
                     let x = data.row(i);
-                    let xn = x_norms[i];
                     let a = row[0] as usize;
-                    let d_a = xn + c_norms[a] - 2.0 * ops::dot(x, centroids.row(a));
+                    let d_a = ops::sqdist(x, centroids.row(a));
                     comp += 1;
                     let l = decay_lower(row[2], delta_max);
                     if certified_floor(l, err) > d_a {
                         // Every other candidate computes strictly above
                         // d_a: the exhaustive argmin is uniquely `a`.
-                        row[1] = d_a.max(0.0);
+                        row[1] = d_a;
                         row[2] = l;
                         skip += k as u64 - 1;
                         continue;
                     }
                     let filter = fz.zip(bufs.as_mut());
-                    let (c, s) =
-                        rescan(row, x, xn, centroids, c_norms, err, Some((a, d_a)), filter);
+                    let (c, s) = rescan(row, x, x_norms[i], centroids, err, Some((a, d_a)), filter);
                     comp += c;
                     skip += s;
                     upd += 1;
@@ -689,37 +700,33 @@ impl AssignEngine {
 }
 
 /// One point's rescan into its Hamerly row: [`rescan_point`], or through
-/// the factored filter when the grid has one. Returns the exact
-/// evaluations and the filter's skips.
-#[allow(clippy::too_many_arguments)]
+/// the factored filter (whose scores read the squared norm `xn`) when
+/// the grid has one. Returns the exact evaluations and the filter's
+/// skips.
 fn rescan(
     row: &mut [f64],
     x: &[f64],
     xn: f64,
     centroids: &Matrix,
-    c_norms: &[f64],
     err: f64,
     known: Option<(usize, f64)>,
     filter: Option<(&Factored, &mut FilterBufs)>,
 ) -> (u64, u64) {
     match filter {
         Some((fz, bufs)) => fz.rescan_dense(row, x, xn, centroids, known, bufs),
-        None => (rescan_point(row, x, xn, centroids, c_norms, err, known), 0),
+        None => (rescan_point(row, x, centroids, err, known), 0),
     }
 }
 
 /// Full ascending scan of one point into its `[label, dmin, lower]`
 /// Hamerly row: the exhaustive strict-`<` argmin (lowest index on
-/// ties), its clamped distance, and a lower bound from the runner-up.
-/// `known` is a candidate whose kernel value was already computed with
-/// the same expression; its bits are reused. Returns the number of
-/// distances evaluated.
+/// ties), its distance, and a lower bound from the runner-up. `known`
+/// is a candidate whose kernel value was already computed; its bits are
+/// reused. Returns the number of distances evaluated.
 fn rescan_point(
     row: &mut [f64],
     x: &[f64],
-    xn: f64,
     centroids: &Matrix,
-    c_norms: &[f64],
     err: f64,
     known: Option<(usize, f64)>,
 ) -> u64 {
@@ -732,7 +739,7 @@ fn rescan_point(
             Some((a, d_a)) if a == c => d_a,
             _ => {
                 comp += 1;
-                xn + c_norms[c] - 2.0 * ops::dot(x, crow)
+                ops::sqdist(x, crow)
             }
         };
         if d < best_d {
@@ -744,7 +751,7 @@ fn rescan_point(
         }
     }
     row[0] = best as f64;
-    row[1] = best_d.max(0.0);
+    row[1] = best_d;
     row[2] = dist_lower(runner, err);
     comp
 }
@@ -799,8 +806,8 @@ fn filter_applies(sets: &[Matrix], agg: Aggregator) -> bool {
 }
 
 /// The factored filter's view of one `Aggregator::Sum` grid: the factor
-/// sets, every candidate's squared norm with the exact kernel's bits,
-/// and the error term `E` (see the module docs).
+/// sets, every candidate's squared norm (the `‖μ_c‖²` of its score), and
+/// the error term `E` (see the module docs).
 struct Factored<'a> {
     sets: &'a [Matrix],
     c_norms: &'a [f64],
@@ -916,11 +923,10 @@ impl<'a> Factored<'a> {
         }
     }
 
-    /// Filtered argmin of one point. `eval(c)` is the caller's exact
-    /// kernel expression (the value the exhaustive scan compares);
-    /// `known` is a candidate whose value was already computed with it.
-    /// Returns the exhaustive scan's strict-`<` ascending argmin and its
-    /// value.
+    /// Filtered argmin of one point. `eval(c)` is the exact kernel
+    /// against candidate `c` (the value the exhaustive scan compares);
+    /// `known` is a candidate whose value was already computed. Returns
+    /// the exhaustive scan's strict-`<` ascending argmin and its value.
     fn scan(
         &self,
         x: &[f64],
@@ -999,12 +1005,9 @@ impl<'a> Factored<'a> {
         known: Option<(usize, f64)>,
         bufs: &mut FilterBufs,
     ) -> (u64, u64) {
-        let c_norms = self.c_norms;
-        let s = self.scan(x, xn, known, bufs, |c, _, _| {
-            xn + c_norms[c] - 2.0 * ops::dot(x, grid.row(c))
-        });
+        let s = self.scan(x, xn, known, bufs, |c, _, _| ops::sqdist(x, grid.row(c)));
         row[0] = s.label as f64;
-        row[1] = s.dist.max(0.0);
+        row[1] = s.dist;
         row[2] = s.lower;
         (s.computed, s.skipped)
     }
@@ -1059,7 +1062,7 @@ impl AssignEngine {
         let mut mu = scratch.take_f64(self.m);
         if !self.ready {
             for row in self.state.chunks_exact_mut(OTF_STRIDE) {
-                row[0] = f64::INFINITY; // running best (clamped)
+                row[0] = f64::INFINITY; // running best
                 row[1] = 0.0; // label
                 row[2] = f64::INFINITY; // runner-up
                 row[3] = f64::INFINITY; // min lower bound over skipped
@@ -1147,14 +1150,13 @@ impl AssignEngine {
                     }
                     let i = start + off;
                     let x = data.row(i);
-                    let xn = x_norms[i];
-                    // Phase 1 left the exact (clamped) distance to the
-                    // previous label: the same expression, same bits.
+                    // Phase 1 left the exact distance to the previous
+                    // label: the same kernel, same bits.
                     let known = (row[7] >= 0.0).then_some((row[7] as usize, row[5]));
-                    let s = fz.scan(x, xn, known, &mut bufs, |c, mu, tuple| {
+                    let s = fz.scan(x, x_norms[i], known, &mut bufs, |c, mu, tuple| {
                         indexer.to_tuple_into(c, tuple);
                         aggregate_tuple_into(mu, sets, tuple, agg);
-                        (xn + fz.c_norms[c] - 2.0 * ops::dot(x, mu)).max(0.0)
+                        ops::sqdist(x, mu)
                     });
                     row[0] = s.dist;
                     row[1] = s.label as f64;
@@ -1200,15 +1202,11 @@ impl AssignEngine {
         }
     }
 
-    /// Copies the factor sets into the drift snapshot (row by row —
-    /// `Matrix` storage may pad rows for alignment).
+    /// Copies the factor sets into the drift snapshot (`Matrix` rows are
+    /// contiguous, so each set is one `h × m` row-major slice).
     fn snapshot_sets(&mut self, sets: &[Matrix]) {
-        for (l, s) in sets.iter().enumerate() {
-            let (h, m) = self.prev_sets_dims[l];
-            let dst = &mut self.prev_sets[l];
-            for r in 0..h {
-                dst[r * m..(r + 1) * m].copy_from_slice(s.row(r));
-            }
+        for (dst, s) in self.prev_sets.iter_mut().zip(sets) {
+            dst.copy_from_slice(s.as_slice());
         }
     }
 
@@ -1270,9 +1268,9 @@ impl AssignEngine {
     /// Serial pre-pass: one exact distance per point (to its previous
     /// candidate, aggregated once per occupied label via a counting
     /// sort), deciding which points are certified before the tuple
-    /// sweep. Exactly mirrors the on-the-fly kernel expression — the
-    /// per-candidate clamp included — so the value doubles as the
-    /// exhaustive result for decided points.
+    /// sweep. The value is the exact kernel against the same aggregated
+    /// centroid, so it doubles as the exhaustive result for decided
+    /// points.
     #[allow(clippy::too_many_arguments)]
     fn otf_phase1_decide(
         &mut self,
@@ -1304,7 +1302,6 @@ impl AssignEngine {
         }
         let mut tuple = scratch.take_usize(p);
         let state = &mut self.state;
-        let x_norms = &self.x_norms;
         let mut comp = 0u64;
         let mut skip = 0u64;
         for a in 0..k {
@@ -1314,11 +1311,9 @@ impl AssignEngine {
             }
             indexer.to_tuple_into(a, &mut tuple);
             aggregate_tuple_into(mu, sets, &tuple, agg);
-            let mu_norm = ops::sq_norm(mu);
             for &i in &order[s..e] {
                 let row = &mut state[i * OTF_STRIDE..(i + 1) * OTF_STRIDE];
-                let x = data.row(i);
-                let d_a = (x_norms[i] + mu_norm - 2.0 * ops::dot(x, mu)).max(0.0);
+                let d_a = ops::sqdist(data.row(i), mu);
                 comp += 1;
                 let l = decay_lower(row[4], delta_max);
                 row[4] = l;
@@ -1348,8 +1343,8 @@ impl AssignEngine {
     /// The tuple sweep: aggregates every candidate once (as the
     /// exhaustive path must), then updates only undecided points, each
     /// either norm-gated against its running best or evaluated with the
-    /// exact kernel expression — reusing the phase-1 bits when the
-    /// candidate *is* the previous assignment.
+    /// exact kernel — reusing the phase-1 bits when the candidate *is*
+    /// the previous assignment.
     fn otf_scan(
         &mut self,
         data: &Matrix,
@@ -1361,7 +1356,6 @@ impl AssignEngine {
     ) {
         self.ensure_norm_bounds();
         let m = self.m;
-        let x_norms = &self.x_norms;
         let x_lo = &self.x_lo;
         let x_hi = &self.x_hi;
         let stats = &self.stats;
@@ -1389,7 +1383,7 @@ impl AssignEngine {
                     let d;
                     if row[7] == flat_f {
                         // The previous assignment: phase 1 computed this
-                        // exact expression already — same bits.
+                        // distance already — same bits.
                         d = row[5];
                     } else {
                         let cur = row[0];
@@ -1407,7 +1401,7 @@ impl AssignEngine {
                             skip += 1;
                             continue;
                         }
-                        d = (x_norms[i] + mu_norm - 2.0 * ops::dot(data.row(i), mu_ref)).max(0.0);
+                        d = ops::sqdist(data.row(i), mu_ref);
                         comp += 1;
                     }
                     if d < row[0] {
@@ -1462,9 +1456,10 @@ impl Drop for AssignEngine {
 /// parallel over points; per-point work is independent of the chunk
 /// split, so results are identical at any thread count.
 ///
-/// All temporaries come from `exec`'s [`Scratch`] arena: the centroid
-/// norms and an interleaved `(label, dmin)` buffer of `2n` f64 rows
-/// (labels round-trip exactly through f64 below 2^53).
+/// Each point takes [`crate::kmeans::nearest_centroid`]. The one
+/// temporary, an interleaved `(label, dmin)` buffer of `2n` f64 rows
+/// (labels round-trip exactly through f64 below 2^53), comes from
+/// `exec`'s [`Scratch`] arena.
 pub(crate) fn exhaustive_dense(
     data: &Matrix,
     centroids: &Matrix,
@@ -1482,26 +1477,14 @@ pub(crate) fn exhaustive_dense(
         "centroid count must stay below 2^53 for exact f64 label round-trips"
     );
     let scratch = exec.scratch();
-    let mut c_norms = scratch.take_f64_uninit(0);
-    centroids.row_sq_norms_into(&mut c_norms);
     // Width-2 rows, every element written before the read-back below.
     let mut buf = scratch.take_f64_uninit(2 * n);
     parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
         let mut rows = 0u64;
         for (off, out) in chunk.chunks_exact_mut(2).enumerate() {
-            let x = data.row(start + off);
-            let xn = ops::sq_norm(x);
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, crow) in centroids.rows_iter().enumerate() {
-                let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+            let (best, best_d) = nearest_centroid(data.row(start + off), centroids);
             out[0] = best as f64;
-            out[1] = best_d.max(0.0);
+            out[1] = best_d;
             rows += 1;
         }
         if let Some(s) = stats {
@@ -1513,7 +1496,6 @@ pub(crate) fn exhaustive_dense(
         dmin[i] = pair[1];
     }
     scratch.put_f64(buf);
-    scratch.put_f64(c_norms);
 }
 
 /// The exhaustive on-the-fly scan over the implicit Khatri-Rao grid —
@@ -1522,9 +1504,9 @@ pub(crate) fn exhaustive_dense(
 /// aggregated centroid at a time (Algorithm 1 lines 7-14 of the paper).
 ///
 /// Temporaries — the per-point `(dmin, label)` running state (width-2
-/// f64 rows; flat labels round-trip exactly through f64 below 2^53),
-/// the point norms, and the single aggregated centroid — all recycle
-/// through `exec`'s [`Scratch`] arena across Lloyd iterations.
+/// f64 rows; flat labels round-trip exactly through f64 below 2^53) and
+/// the single aggregated centroid — recycle through `exec`'s [`Scratch`]
+/// arena across Lloyd iterations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exhaustive_otf(
     data: &Matrix,
@@ -1548,8 +1530,6 @@ pub(crate) fn exhaustive_otf(
         "KR flat centroid index must stay below 2^53 for exact f64 label round-trips"
     );
     let scratch = exec.scratch();
-    let mut x_norms = scratch.take_f64_uninit(0);
-    data.row_sq_norms_into(&mut x_norms);
     let mut state = scratch.take_f64_uninit(2 * n);
     for slot in state.chunks_exact_mut(2) {
         slot[0] = f64::INFINITY;
@@ -1558,14 +1538,11 @@ pub(crate) fn exhaustive_otf(
     let mut mu = scratch.take_f64(m);
     indexer.for_each_tuple(|flat, tuple| {
         aggregate_tuple_into(&mut mu, sets, tuple, agg);
-        let mu_norm = ops::sq_norm(&mu);
         let mu_ref = &mu;
-        let x_norms_ref = &x_norms;
         parallel::map_rows_into(exec, &mut state, 2, 1, |start, chunk| {
             let mut rows = 0u64;
             for (off, slot) in chunk.chunks_exact_mut(2).enumerate() {
-                let i = start + off;
-                let d = (x_norms_ref[i] + mu_norm - 2.0 * ops::dot(data.row(i), mu_ref)).max(0.0);
+                let d = ops::sqdist(data.row(start + off), mu_ref);
                 if d < slot[0] {
                     slot[0] = d;
                     slot[1] = flat as f64;
@@ -1583,7 +1560,6 @@ pub(crate) fn exhaustive_otf(
     }
     scratch.put_f64(mu);
     scratch.put_f64(state);
-    scratch.put_f64(x_norms);
 }
 
 /// Persistent center–center lower bounds for streaming assignment.
@@ -1607,9 +1583,9 @@ pub(crate) fn exhaustive_otf(
 ///
 /// `assign` is bitwise identical to the exhaustive scan in
 /// `exhaustive_dense`: candidates are visited in the same ascending
-/// order with the same raw kernel expression, and a candidate is
-/// skipped only when its certified floor strictly exceeds the
-/// already-computed running best.
+/// order with the same exact kernel, and a candidate is skipped only
+/// when its certified floor strictly exceeds the already-computed
+/// running best.
 #[derive(Debug, Clone, Default)]
 pub struct CcBounds {
     k: usize,
@@ -1714,33 +1690,15 @@ impl CcBounds {
         let m = self.m;
         debug_assert_eq!(centroids.shape(), (k, m), "sync before assign");
         let scratch = exec.scratch();
-        let mut c_norms = scratch.take_f64_uninit(0);
-        centroids.row_sq_norms_into(&mut c_norms);
-        let mut max_c_sq = 0.0;
-        for &v in c_norms.iter() {
-            if v > max_c_sq {
-                max_c_sq = v;
-            }
-        }
-        let mut x_norms = scratch.take_f64_uninit(0);
-        data.row_sq_norms_into(&mut x_norms);
-        let mut max_x_sq = 0.0;
-        for &v in x_norms.iter() {
-            if v > max_x_sq {
-                max_x_sq = v;
-            }
-        }
-        let err = kernel_error_bound(m, max_x_sq, max_c_sq);
+        let err = kernel_error_bound(m, max_sq_norm(data), max_sq_norm(centroids));
         let shared = SharedStats::default();
         let cc = &self.cc;
-        let x_norms_ref = &x_norms;
         let mut buf = scratch.take_f64_uninit(2 * n);
         parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
             let mut comp = 0u64;
             let mut skip = 0u64;
             for (off, out) in chunk.chunks_exact_mut(2).enumerate() {
                 let x = data.row(start + off);
-                let xn = x_norms_ref[start + off];
                 let mut best = 0usize;
                 let mut best_d = f64::INFINITY;
                 let mut u = f64::INFINITY;
@@ -1755,7 +1713,7 @@ impl CcBounds {
                             continue;
                         }
                     }
-                    let d = xn + c_norms[c] - 2.0 * ops::dot(x, crow);
+                    let d = ops::sqdist(x, crow);
                     comp += 1;
                     if d < best_d {
                         best_d = d;
@@ -1764,7 +1722,7 @@ impl CcBounds {
                     }
                 }
                 out[0] = best as f64;
-                out[1] = best_d.max(0.0);
+                out[1] = best_d;
             }
             shared.add(comp, skip, 0);
         });
@@ -1775,8 +1733,6 @@ impl CcBounds {
             dmin[i] = pair[1];
         }
         scratch.put_f64(buf);
-        scratch.put_f64(x_norms);
-        scratch.put_f64(c_norms);
         self.stats.merge(shared.snapshot());
         (labels, dmin)
     }

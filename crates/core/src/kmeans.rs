@@ -237,12 +237,29 @@ impl KMeans {
     }
 }
 
+/// The nearest row of `centroids` to `x` and its squared distance: the
+/// lowest-index strict-`<` argmin of `ops::sqdist(x, c)`, `(0, +∞)` for
+/// no rows. This is the workspace's one exact distance kernel (see
+/// [`crate::assign`]); `kr_metrics::inertia` sums the same bits.
+pub fn nearest_centroid(x: &[f64], centroids: &Matrix) -> (usize, f64) {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, crow) in centroids.rows_iter().enumerate() {
+        let d = ops::sqdist(x, crow);
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    (best, best_d)
+}
+
 /// Nearest-centroid assignment as a public building block: returns one
-/// `(label, squared distance)` pair per row of `data`, computed
-/// chunk-parallel on `exec`'s pool. Per-point work is independent of the
-/// chunk split, so results are bitwise identical at any thread count —
-/// the property the streaming summarizers (`kr-stream`) and federated
-/// clients build their determinism contracts on.
+/// [`nearest_centroid`] `(label, squared distance)` pair per row of
+/// `data`, computed chunk-parallel on `exec`'s pool. Per-point work is
+/// independent of the chunk split, so results are bitwise identical at
+/// any thread count — the property the streaming summarizers
+/// (`kr-stream`) build their determinism contracts on.
 ///
 /// # Panics
 /// Panics when `data` and `centroids` disagree on the feature dimension

@@ -842,7 +842,7 @@ mod tests {
             "inertia {} vs ideal {ideal}",
             model.inertia
         );
-        let ari = kr_metrics_ari(&model.labels, &ds.labels);
+        let ari = kr_metrics::adjusted_rand_index(&model.labels, &ds.labels).unwrap();
         assert!(ari > 0.95, "ari {ari}");
     }
 
@@ -855,32 +855,8 @@ mod tests {
             .with_seed(3)
             .fit(&ds.data)
             .unwrap();
-        let ari = kr_metrics_ari(&model.labels, &ds.labels);
+        let ari = kr_metrics::adjusted_rand_index(&model.labels, &ds.labels).unwrap();
         assert!(ari > 0.9, "ari {ari}");
-    }
-
-    // Minimal ARI so kr-core's tests do not depend on kr-metrics
-    // (kept in sync with kr-metrics, which cross-checks it).
-    fn kr_metrics_ari(pred: &[usize], truth: &[usize]) -> f64 {
-        let kp = pred.iter().max().unwrap() + 1;
-        let kt = truth.iter().max().unwrap() + 1;
-        let mut table = vec![vec![0f64; kt]; kp];
-        for (&p, &t) in pred.iter().zip(truth) {
-            table[p][t] += 1.0;
-        }
-        let comb2 = |x: f64| x * (x - 1.0) / 2.0;
-        let sum_ij: f64 = table.iter().flatten().map(|&v| comb2(v)).sum();
-        let a: f64 = table.iter().map(|r| comb2(r.iter().sum())).sum();
-        let mut col_sums = vec![0f64; kt];
-        for r in &table {
-            for (c, &v) in col_sums.iter_mut().zip(r) {
-                *c += v;
-            }
-        }
-        let b: f64 = col_sums.iter().map(|&v| comb2(v)).sum();
-        let total = comb2(pred.len() as f64);
-        let expected = a * b / total;
-        (sum_ij - expected) / (0.5 * (a + b) - expected)
     }
 
     #[test]
@@ -1030,7 +1006,7 @@ mod tests {
             .unwrap();
         // kr++ must produce a high-agreement summary; like the paper we
         // accept imperfect local minima (hence > 0.7 rather than ~1).
-        let ari = kr_metrics_ari(&model.labels, &ds.labels);
+        let ari = kr_metrics::adjusted_rand_index(&model.labels, &ds.labels).unwrap();
         assert!(ari > 0.7, "ari {ari}");
         assert!(model.inertia.is_finite());
     }
@@ -1068,23 +1044,8 @@ mod tests {
             .unwrap();
         // Starting at the truth, inertia must stay near the noise floor.
         let centroids = khatri_rao(&[t1, t2], Aggregator::Sum).unwrap();
-        let truth_inertia = kr_metrics::inertia_stub(&ds.data, &centroids);
+        let truth_inertia = kr_metrics::inertia(&ds.data, &centroids);
         assert!(fitted.inertia <= truth_inertia * 1.01 + 1e-9);
-    }
-
-    // Tiny local inertia helper (mirrors kr-metrics::inertia).
-    mod kr_metrics {
-        use kr_linalg::{ops, Matrix};
-        pub fn inertia_stub(data: &Matrix, centroids: &Matrix) -> f64 {
-            data.rows_iter()
-                .map(|x| {
-                    centroids
-                        .rows_iter()
-                        .map(|c| ops::sqdist(x, c))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .sum()
-        }
     }
 
     #[test]

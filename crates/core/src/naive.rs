@@ -19,6 +19,9 @@ use kr_linalg::{ops, ExecCtx, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Phase-2 SSE tolerance (Appendix B).
+const DECOMP_TOL: f64 = 1e-4;
+
 /// Configuration for the naïve two-phase baseline.
 #[derive(Debug, Clone)]
 pub struct NaiveKr {
@@ -26,7 +29,6 @@ pub struct NaiveKr {
     aggregator: Aggregator,
     kmeans_n_init: usize,
     decomp_max_iter: usize,
-    decomp_tol: f64,
     seed: u64,
     exec: ExecCtx,
 }
@@ -66,7 +68,6 @@ impl NaiveKr {
             aggregator: Aggregator::Product,
             kmeans_n_init: 10,
             decomp_max_iter: 5000,
-            decomp_tol: 1e-4,
             seed: 0,
             exec: ExecCtx::serial(),
         }
@@ -87,12 +88,6 @@ impl NaiveKr {
     /// Sets the phase-2 iteration cap.
     pub fn with_decomp_max_iter(mut self, n: usize) -> Self {
         self.decomp_max_iter = n.max(1);
-        self
-    }
-
-    /// Sets the phase-2 SSE tolerance.
-    pub fn with_decomp_tol(mut self, tol: f64) -> Self {
-        self.decomp_tol = tol;
         self
     }
 
@@ -128,7 +123,7 @@ impl NaiveKr {
             &self.hs,
             self.aggregator,
             self.decomp_max_iter,
-            self.decomp_tol,
+            DECOMP_TOL,
             self.seed ^ 0x9E37_79B9,
         );
         // Final assignment against the aggregated approximation.

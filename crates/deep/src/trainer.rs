@@ -20,6 +20,9 @@ use kr_linalg::{ExecCtx, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Reconstruction weight `w_rec` of Eq. 2 (paper: 1).
+const W_REC: f64 = 1.0;
+
 /// Which clustering loss drives the latent space.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossKind {
@@ -55,7 +58,6 @@ pub struct DeepClustering {
     epochs: usize,
     batch_size: usize,
     lr: f64,
-    w_rec: f64,
     init_n_init: usize,
     seed: u64,
     exec: ExecCtx,
@@ -128,7 +130,6 @@ impl DeepClustering {
             epochs: 50,
             batch_size: 256,
             lr: 1e-4,
-            w_rec: 1.0,
             init_n_init: 5,
             seed: 0,
             exec: ExecCtx::serial(),
@@ -150,12 +151,6 @@ impl DeepClustering {
     /// Sets the clustering-phase learning rate (paper: 1e-4).
     pub fn with_lr(mut self, lr: f64) -> Self {
         self.lr = lr;
-        self
-    }
-
-    /// Sets the reconstruction weight `w_rec` (paper: 1).
-    pub fn with_w_rec(mut self, w: f64) -> Self {
-        self.w_rec = w;
         self
     }
 
@@ -256,7 +251,7 @@ impl DeepClustering {
                 };
                 let xhat = ae.decode_on(&mut g, z);
                 let rec = g.mse(xhat, x);
-                let rec_w = g.scale(rec, self.w_rec);
+                let rec_w = g.scale(rec, W_REC);
                 let total = g.add(cluster, rec_w);
                 epoch_loss += g.value(total).get(0, 0);
                 batches += 1;

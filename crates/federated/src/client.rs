@@ -121,13 +121,13 @@ impl<'a> ShardClient<'a> {
                     count: self.data.nrows() as u64,
                 }))
             }
-            Msg::Broadcast(b) => Ok(Step::Reply(self.answer_broadcast(b))),
+            Msg::Broadcast(b) => Ok(Step::Reply(self.answer_broadcast(b)?)),
             Msg::RoundAck(a) => Ok(if a.done {
                 Step::Done
             } else if let Some(b) = &a.next {
                 // Pipelined round: the ack carries the next broadcast;
                 // answer it exactly like a standalone one.
-                Step::Reply(self.answer_broadcast(b))
+                Step::Reply(self.answer_broadcast(b)?)
             } else {
                 Step::Continue
             }),
@@ -167,14 +167,28 @@ impl<'a> ShardClient<'a> {
     /// releases the D² state: a late `SeedSelect` then walks an empty
     /// vector and answers `found: false`, which the server falls back
     /// from.
-    fn answer_broadcast(&mut self, b: &crate::protocol::Broadcast) -> Msg {
+    ///
+    /// A summary that expands to no centroid, or to another width than a
+    /// non-empty shard's (the server registers empty shards of any
+    /// width), is a protocol error.
+    fn answer_broadcast(&mut self, b: &crate::protocol::Broadcast) -> Result<Msg> {
         self.d2 = Vec::new();
-        let centroids = b.summary.materialize();
+        let centroids = b
+            .summary
+            .materialize()
+            .map_err(|e| CoreError::Transport(format!("malformed broadcast: {e}")))?;
+        let (k, m) = centroids.shape();
+        if k == 0 || (self.data.nrows() > 0 && m != self.data.ncols()) {
+            return Err(CoreError::Transport(format!(
+                "broadcast grid is {k}x{m} for a {}-column shard",
+                self.data.ncols()
+            )));
+        }
         let stats = compute_local_stats(self.data, &centroids, b.round, &self.exec);
-        match &b.mask {
+        Ok(match &b.mask {
             None => Msg::LocalStats(stats),
             Some(spec) => Msg::MaskedStats(crate::mask::mask_stats(&stats, spec, self.id)),
-        }
+        })
     }
 
     fn mass(&self) -> f64 {
@@ -355,6 +369,40 @@ mod tests {
         // The server-side unmask recovers the plaintext reply bitwise.
         let back = crate::mask::unmask_stats(&masked, &spec, 1).unwrap();
         assert_eq!(back, plain);
+    }
+
+    /// Broadcasts that decode cleanly but do not expand to a usable grid
+    /// are protocol errors, not panics or truncated statistics.
+    #[test]
+    fn malformed_broadcasts_are_rejected() {
+        use kr_core::aggregator::Aggregator;
+        let data = shard();
+        let grid = |h: usize, m: usize| Matrix::from_fn(h, m, |i, j| (i + 2 * j) as f64);
+        let proto = |sets: Vec<Matrix>| Summary::ProtoSets {
+            aggregator: Aggregator::Sum,
+            sets,
+        };
+        let summaries = [
+            Summary::Centroids(Matrix::zeros(0, 2)),
+            proto(Vec::new()),
+            proto(vec![grid(2, 2), grid(2, 3)]),
+            proto(vec![grid(2, 2), Matrix::zeros(0, 2)]),
+            Summary::Centroids(grid(3, 5)),
+        ];
+        for summary in summaries {
+            let (frame, _) = crate::wire::encode(&Msg::Broadcast(Broadcast {
+                round: 0,
+                eval_only: false,
+                mask: None,
+                summary: summary.clone(),
+            }));
+            let msg = crate::wire::decode_frame(&frame).expect("a well-formed frame");
+            let mut c = ShardClient::new(0, &data, ExecCtx::serial());
+            assert!(
+                matches!(c.handle(&msg), Err(CoreError::Transport(_))),
+                "{summary:?}"
+            );
+        }
     }
 
     #[test]

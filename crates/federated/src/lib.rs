@@ -81,7 +81,7 @@ pub use transport::FailureKind;
 
 use kr_core::aggregator::Aggregator;
 use kr_core::Result;
-use kr_linalg::{ops, parallel, ExecCtx, Matrix};
+use kr_linalg::{ExecCtx, Matrix};
 
 /// Bytes per f64 on the wire (plain little-endian framing).
 pub const BYTES_PER_F64: usize = 8;
@@ -196,79 +196,16 @@ impl KrFkM {
     }
 }
 
-/// Each client computes per-cluster sums and counts locally; the server
-/// merges them in client order. Kept as a convenience for tests and
-/// callers that want one gather step outside the full protocol — the
-/// protocol path produces the same statistics via
-/// [`protocol::compute_local_stats`].
-pub fn gather_stats(
-    clients: &[Client],
-    centroids: &Matrix,
-    exec: &ExecCtx,
-) -> (Matrix, Vec<usize>) {
-    let k = centroids.nrows();
-    let m = centroids.ncols();
-    let mut agg = kr_core::stats::SuffStats::zeros(k, m);
-    for (i, client) in clients.iter().enumerate() {
-        let stats = protocol::compute_local_stats(&client.data, centroids, i as u32, exec);
-        agg.merge(&stats.stats).expect("shapes fixed by centroids");
-    }
-    let counts = agg.counts_usize();
-    (agg.sums, counts)
-}
-
-/// Inertia over all client shards (evaluation only; the protocol path
-/// assembles the same quantity from client-reported partial inertias).
-pub fn global_inertia(clients: &[Client], centroids: &Matrix) -> f64 {
-    clients
-        .iter()
-        .map(|c| shard_inertia_serial(&c.data, centroids))
-        .sum()
-}
-
-/// [`global_inertia`] with each shard's scan chunk-parallel on `exec`'s
-/// pool. Chunk geometry is a pure function of the shard size, and
-/// per-chunk partials merge in ascending order, so the result is
-/// bitwise identical at any thread count (it may differ from the fully
-/// serial [`global_inertia`] by accumulation order only).
+/// Inertia over all client shards (evaluation only): each shard's
+/// [`kr_core::kmeans::nearest_centroid`] distances, computed
+/// chunk-parallel on `exec`'s pool and summed in point order, then
+/// summed in shard order. These are the sums the protocol assembles from
+/// client-reported partials, so the result equals a round's reported
+/// inertia bitwise, at any thread count.
 pub fn global_inertia_with(clients: &[Client], centroids: &Matrix, exec: &ExecCtx) -> f64 {
-    /// Points per reduction chunk (fixed: never derived from the thread
-    /// budget).
-    const CHUNK: usize = 512;
     clients
         .iter()
-        .map(|c| {
-            if c.data.nrows() == 0 {
-                return 0.0;
-            }
-            let partials = parallel::reduce_chunks(
-                exec,
-                c.data.nrows(),
-                CHUNK,
-                || 0.0f64,
-                |acc, start, end| {
-                    for i in start..end {
-                        let x = c.data.row(i);
-                        *acc += centroids
-                            .rows_iter()
-                            .map(|cr| ops::sqdist(x, cr))
-                            .fold(f64::INFINITY, f64::min);
-                    }
-                },
-            );
-            partials.iter().sum::<f64>()
-        })
-        .sum()
-}
-
-fn shard_inertia_serial(data: &Matrix, centroids: &Matrix) -> f64 {
-    data.rows_iter()
-        .map(|x| {
-            centroids
-                .rows_iter()
-                .map(|c| ops::sqdist(x, c))
-                .fold(f64::INFINITY, f64::min)
-        })
+        .map(|c| protocol::compute_local_stats(&c.data, centroids, 0, exec).inertia)
         .sum()
 }
 
@@ -498,9 +435,12 @@ mod tests {
             let got = global_inertia_with(&clients, &centroids, &ExecCtx::threaded(threads));
             assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
         }
-        // And it approximates the serial reference to fp-reorder noise.
-        let serial = global_inertia(&clients, &centroids);
-        assert!((reference - serial).abs() <= 1e-9 * serial.abs().max(1.0));
+        // One kernel: it equals the scorer's per-shard sums bitwise.
+        let scored: f64 = clients
+            .iter()
+            .map(|c| kr_metrics::inertia(&c.data, &centroids))
+            .sum();
+        assert_eq!(reference.to_bits(), scored.to_bits());
     }
 
     #[test]
@@ -588,10 +528,20 @@ mod tests {
             0,
             &ExecCtx::serial(),
         );
-        // Federated: aggregate client stats, update from stats.
-        let (sums, counts) = gather_stats(&clients, &centroids, &ExecCtx::serial());
+        // Federated: merge the client stats in client order, update from
+        // stats.
+        let mut agg = kr_core::stats::SuffStats::zeros(centroids.nrows(), centroids.ncols());
+        for (i, client) in clients.iter().enumerate() {
+            let local = protocol::compute_local_stats(
+                &client.data,
+                &centroids,
+                i as u32,
+                &ExecCtx::serial(),
+            );
+            agg.merge(&local.stats).unwrap();
+        }
         let mut fed = sets.clone();
-        prop61_update_from_stats(&sums, &counts, &mut fed, Aggregator::Sum);
+        prop61_update_from_stats(&agg.sums, &agg.counts_usize(), &mut fed, Aggregator::Sum);
         for (a, b) in central.iter().zip(fed.iter()) {
             assert!(a.sub(b).unwrap().max_abs() < 1e-9, "central != federated");
         }

@@ -29,9 +29,11 @@
 //! bitwise identical.
 
 use kr_core::aggregator::Aggregator;
+use kr_core::kmeans::nearest_centroid;
 use kr_core::kr_kmeans::prop61_update_from_stats;
 use kr_core::operator::khatri_rao;
 use kr_core::stats::SuffStats;
+use kr_core::Result;
 use kr_linalg::{ops, parallel, ExecCtx, Matrix};
 
 /// Client registration: shard shape plus a finiteness attestation.
@@ -65,13 +67,12 @@ pub enum Summary {
 }
 
 impl Summary {
-    /// Materializes the centroid grid a client assigns against.
-    pub fn materialize(&self) -> Matrix {
+    /// Materializes the centroid grid a client assigns against, or fails
+    /// on sets that do not form one (none, an empty set, unequal widths).
+    pub fn materialize(&self) -> Result<Matrix> {
         match self {
-            Summary::Centroids(c) => c.clone(),
-            Summary::ProtoSets { aggregator, sets } => {
-                khatri_rao(sets, *aggregator).expect("server-validated sets")
-            }
+            Summary::Centroids(c) => Ok(c.clone()),
+            Summary::ProtoSets { aggregator, sets } => khatri_rao(sets, *aggregator),
         }
     }
 
@@ -339,17 +340,20 @@ impl ServerState {
     /// Materializes the full centroid grid (FkM: the state itself;
     /// KR-FkM: the Khatri-Rao expansion).
     pub fn materialize(&self) -> Matrix {
-        self.summary().materialize()
+        self.summary().materialize().expect("server-validated sets")
     }
 }
 
 // ---- client-side round computation --------------------------------------
 
-/// Computes one round's [`LocalStats`] for a shard: nearest-centroid
-/// assignment (chunk-parallel on `exec`, bitwise thread-invariant),
+/// Computes one round's [`LocalStats`] for a shard: [`nearest_centroid`]
+/// per point (chunk-parallel on `exec`, bitwise thread-invariant),
 /// per-cluster sums/counts accumulated serially in point order, and the
 /// shard's partial inertia (the sum of best squared distances, also in
 /// point order).
+///
+/// A non-empty shard needs at least one centroid of its own width;
+/// [`ShardClient`](crate::client::ShardClient) rejects other broadcasts.
 pub fn compute_local_stats(
     data: &Matrix,
     centroids: &Matrix,
@@ -362,17 +366,7 @@ pub fn compute_local_stats(
     let mut best: Vec<(usize, f64)> = vec![(0, 0.0); data.nrows()];
     parallel::map_rows_into(exec, &mut best, 1, 1, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
-            let x = data.row(start + off);
-            let mut best_c = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, crow) in centroids.rows_iter().enumerate() {
-                let d = ops::sqdist(x, crow);
-                if d < best_d {
-                    best_d = d;
-                    best_c = c;
-                }
-            }
-            *slot = (best_c, best_d);
+            *slot = nearest_centroid(data.row(start + off), centroids);
         }
     });
     let mut inertia = 0.0f64;

@@ -59,6 +59,9 @@ use kr_core::{CoreError, Result};
 use kr_datasets::weighted::WeightedDataset;
 use kr_linalg::{ExecCtx, Matrix};
 
+/// Iteration cap of the first-batch seeding fit.
+const INIT_MAX_ITER: usize = 100;
+
 /// Streaming mini-batch KR-k-Means runner (builder style).
 ///
 /// The first observed batch seeds the protocentroids with a full
@@ -71,7 +74,6 @@ pub struct MiniBatchKrKMeans {
     hs: Vec<usize>,
     aggregator: Aggregator,
     init_restarts: usize,
-    init_max_iter: usize,
     seed: u64,
     exec: ExecCtx,
     state: Option<MbState>,
@@ -128,7 +130,6 @@ impl MiniBatchKrKMeans {
             hs,
             aggregator: Aggregator::Sum,
             init_restarts: 4,
-            init_max_iter: 100,
             seed: 0,
             exec: ExecCtx::serial(),
             state: None,
@@ -144,12 +145,6 @@ impl MiniBatchKrKMeans {
     /// Sets the restart count of the first-batch seeding fit.
     pub fn with_init_restarts(mut self, restarts: usize) -> Self {
         self.init_restarts = restarts.max(1);
-        self
-    }
-
-    /// Sets the iteration cap of the first-batch seeding fit.
-    pub fn with_init_max_iter(mut self, max_iter: usize) -> Self {
-        self.init_max_iter = max_iter.max(1);
         self
     }
 
@@ -185,7 +180,7 @@ impl MiniBatchKrKMeans {
         let fit = KrKMeans::new(self.hs.clone())
             .with_aggregator(self.aggregator)
             .with_n_init(self.init_restarts)
-            .with_max_iter(self.init_max_iter)
+            .with_max_iter(INIT_MAX_ITER)
             .with_seed(self.seed)
             .with_exec(self.exec.clone())
             .fit(batch)?;
