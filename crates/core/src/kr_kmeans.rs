@@ -17,6 +17,14 @@
 //! Empty protocentroids (no point assigned to any of their combinations)
 //! are reseeded to random data points (Appendix B).
 //!
+//! The closed forms have one implementation, which reads each cluster's
+//! member count and coordinate sum. A fit builds each sum from the
+//! cluster's members into one `m`-vector rather than a `k x m` block of
+//! sums, which would break the memory-efficient variant's space bound.
+//! The federated server, the streaming update and the naive
+//! decomposition run the same code on the sums they already hold
+//! ([`prop61_update_from_stats`]).
+//!
 //! In addition to the `n_init` random restarts, [`KrKMeans::fit`] runs one
 //! deterministic **two-phase warm start**: an unconstrained k-Means
 //! solution factored into protocentroid sets (Section 5's naïve
@@ -33,18 +41,11 @@
 use crate::aggregator::Aggregator;
 use crate::assign::{AssignEngine, PruneStats};
 use crate::kmeans::{validate_input, KMeans};
-use crate::operator::{aggregate_tuple_into, khatri_rao, CentroidIndexer};
+use crate::operator::{aggregate_tuple_into, checked_grid_size, khatri_rao, CentroidIndexer};
 use crate::{CoreError, Result};
-use kr_linalg::{ops, parallel, ExecCtx, Matrix, Scratch};
+use kr_linalg::{ops, ExecCtx, Matrix, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Fixed chunk width (in flat centroid indices) for the parallel
-/// Proposition 6.1 update reductions. Constant — never derived from the
-/// thread budget — so partial merge order and results are bitwise
-/// identical at any `ExecCtx` thread count; grids of at most one chunk
-/// reduce serially in flat-index order like the seed code.
-const TUPLE_CHUNK: usize = 64;
 
 /// Protocentroid initialization strategy.
 #[derive(Debug, Clone, Default)]
@@ -245,11 +246,7 @@ impl KrKMeans {
 
     /// Runs Khatri-Rao-k-Means, returning the best model over restarts.
     pub fn fit(&self, data: &Matrix) -> Result<KrKMeansModel> {
-        if self.hs.is_empty() || self.hs.contains(&0) {
-            return Err(CoreError::InvalidConfig(
-                "protocentroid set sizes must be non-empty and >= 1".into(),
-            ));
-        }
+        checked_grid_size(&self.hs)?;
         let needed = *self.hs.iter().max().expect("non-empty");
         validate_input(data, needed)?;
         if let KrInit::FromSets(sets) = &self.init {
@@ -307,6 +304,7 @@ impl KrKMeans {
         if !enabled || matches!(self.init, KrInit::FromSets(_)) || data.nrows() < k {
             return Ok(None);
         }
+        let _warm = kr_obs::span!("krkmeans.warm_start", "k" => k);
         let km = KMeans::new(k)
             .with_n_init(2)
             .with_max_iter(self.max_iter)
@@ -352,20 +350,14 @@ impl KrKMeans {
             self.assign_points(data, &sets, &indexer, &mut labels, &mut dmin, engine);
 
             // --- Protocentroid updates (lines 16-19, Proposition 6.1).
-            let clusters = bucket_by_label(&labels, k, self.exec.scratch());
-            for q in 0..sets.len() {
-                update_set(
-                    data,
-                    &mut sets,
-                    q,
-                    &clusters,
-                    &indexer,
-                    self.aggregator,
-                    rng,
-                    &self.exec,
-                );
-            }
-            clusters.release(self.exec.scratch());
+            prop61_update_from_points(
+                data,
+                &labels,
+                &mut sets,
+                self.aggregator,
+                rng,
+                self.exec.scratch(),
+            );
 
             // --- Convergence (line 20): total squared centroid movement.
             let movement = centroid_movement(
@@ -468,11 +460,11 @@ impl KrKMeans {
 /// *fixed* flat assignment (Proposition 6.1, Algorithm 1 lines 16-19).
 ///
 /// Sets are updated sequentially — each sees the already-updated earlier
-/// sets. Public so that callers (tests, the deep-clustering initializer)
-/// can verify or reuse the block-coordinate-descent step in isolation.
-/// `seed` drives the reseeding of empty protocentroids. The pass runs on
-/// `exec`; results are bitwise identical at any thread count (the update
-/// reductions use fixed chunk geometry).
+/// sets. Public so that tests and benchmarks can verify or time the
+/// block-coordinate-descent step in isolation. `seed` drives the
+/// reseeding of empty protocentroids. It runs the same code as
+/// [`KrKMeans::fit`]'s update; `exec` lends its scratch arena, and the
+/// pass is serial, so results do not depend on the thread count.
 pub fn prop61_update_pass_with(
     data: &Matrix,
     labels: &[usize],
@@ -482,21 +474,18 @@ pub fn prop61_update_pass_with(
     exec: &ExecCtx,
 ) {
     assert_eq!(data.nrows(), labels.len(), "one label per point");
-    let indexer = CentroidIndexer::new(sets.iter().map(|s| s.nrows()).collect());
-    let clusters = bucket_by_label(labels, indexer.n_centroids(), exec.scratch());
     let mut rng = StdRng::seed_from_u64(seed);
-    for q in 0..sets.len() {
-        update_set(data, sets, q, &clusters, &indexer, agg, &mut rng, exec);
-    }
-    clusters.release(exec.scratch());
+    prop61_update_from_points(data, labels, sets, agg, &mut rng, exec.scratch());
 }
 
 /// Closed-form update pass (Proposition 6.1) driven by *sufficient
 /// statistics* instead of raw points: per-cluster coordinate sums
 /// (`k x m`) and member counts. The closed forms only depend on
-/// `Σ_{x∈C} x` and `|C|`, so this is exactly equivalent to
-/// [`prop61_update_pass_with`] — it is what a federated server runs after
-/// aggregating client statistics (Figure 10's `KR-FkM`).
+/// `Σ_{x∈C} x` and `|C|`, and this runs the same code as
+/// [`prop61_update_pass_with`]: a one-client `KR-FkM` round, whose sums
+/// accumulate in point order, equals it bitwise. It is what a federated
+/// server runs after aggregating client statistics (Figure 10's
+/// `KR-FkM`).
 ///
 /// Protocentroids whose combinations are all empty keep their value
 /// (a federated server has no raw data to reseed from).
@@ -506,22 +495,103 @@ pub fn prop61_update_from_stats(
     sets: &mut [Matrix],
     agg: Aggregator,
 ) {
-    let indexer = CentroidIndexer::new(sets.iter().map(|s| s.nrows()).collect());
-    assert_eq!(
-        sums.nrows(),
-        indexer.n_centroids(),
-        "one sum row per cluster"
+    let k: usize = sets.iter().map(|s| s.nrows()).product();
+    assert_eq!(sums.nrows(), k, "one sum row per cluster");
+    assert_eq!(counts.len(), k, "one count per cluster");
+    prop61_update(
+        sets,
+        agg,
+        |c, sum| {
+            sum.copy_from_slice(sums.row(c));
+            counts[c]
+        },
+        |_, _, _| {},
     );
-    assert_eq!(counts.len(), indexer.n_centroids(), "one count per cluster");
-    let m = sums.ncols();
+}
+
+/// [`prop61_update`] from raw points: each cluster's sum is built from its
+/// [`LabelBuckets`] members, in ascending point order, into one
+/// `m`-vector. No `k x m` block of sums is ever held, which keeps the
+/// memory-efficient variant within `O((n + Σ h_l) m)` space. Empty
+/// protocentroids are reseeded from `rng` (Appendix B): `θ_q^j := x ⊖ o`
+/// for a random point `x` and a random tuple `o` of the other sets, so
+/// one of its combinations lands exactly on a data point.
+fn prop61_update_from_points(
+    data: &Matrix,
+    labels: &[usize],
+    sets: &mut [Matrix],
+    agg: Aggregator,
+    rng: &mut StdRng,
+    scratch: &Scratch,
+) {
+    let k = sets.iter().map(|s| s.nrows()).product();
+    let _update = kr_obs::span!("krkmeans.update", "k" => k);
+    let clusters = bucket_by_label(labels, k, scratch);
+    prop61_update(
+        sets,
+        agg,
+        |c, sum| {
+            let members = clusters.members(c);
+            sum.fill(0.0);
+            for &i in members {
+                ops::add_assign(sum, data.row(i));
+            }
+            members.len()
+        },
+        |sets, q, j| {
+            let x = data.row(rng.gen_range(0..data.nrows()));
+            let mut other = vec![0.0f64; x.len()];
+            agg.fill_identity(&mut other);
+            for (l, set) in sets.iter().enumerate() {
+                if l != q {
+                    agg.aggregate_assign(&mut other, set.row(rng.gen_range(0..set.nrows())));
+                }
+            }
+            for ((t, &xv), &ov) in sets[q].row_mut(j).iter_mut().zip(x).zip(&other) {
+                *t = match agg {
+                    Aggregator::Sum => xv - ov,
+                    Aggregator::Product if ov.abs() > 1e-9 => xv / ov,
+                    Aggregator::Product => xv,
+                };
+            }
+        },
+    );
+    clusters.release(scratch);
+}
+
+/// The closed forms of Proposition 6.1, generalized to `p` sets and
+/// applied set by set (Algorithm 1 lines 16-19, each set seeing the
+/// already-updated earlier ones). Over the clusters `C` whose tuple
+/// picks protocentroid `j` of set `q`, with `o_C` the other sets' rows
+/// of that tuple aggregated:
+///
+/// * sum: `θ_q^j = Σ_C (Σ_{x∈C} x - |C| o_C) / Σ_C |C|`;
+/// * product: `θ_q^j = Σ_C (Σ_{x∈C} x) ⊙ o_C / Σ_C |C| (o_C ⊙ o_C)`
+///   (elementwise division; unconstrained dimensions keep their value).
+///
+/// `cluster(c, sum)` returns cluster `c`'s member count and, when it is
+/// non-zero, writes the cluster's coordinate sum into `sum`. The grid is
+/// walked serially in flat-index order, so results do not depend on the
+/// thread count. `on_empty(sets, q, j)` runs for each protocentroid whose
+/// combinations are all empty, in ascending `j`, before set `q + 1`
+/// updates.
+fn prop61_update(
+    sets: &mut [Matrix],
+    agg: Aggregator,
+    mut cluster: impl FnMut(usize, &mut [f64]) -> usize,
+    mut on_empty: impl FnMut(&mut [Matrix], usize, usize),
+) {
+    let indexer = CentroidIndexer::new(sets.iter().map(|s| s.nrows()).collect());
+    let m = sets[0].ncols();
+    let mut sum = vec![0.0f64; m];
+    let mut other = vec![0.0f64; m];
     for q in 0..sets.len() {
         let h_q = sets[q].nrows();
         let mut num = Matrix::zeros(h_q, m);
         let mut den = Matrix::zeros(h_q, m);
         let mut totals = vec![0usize; h_q];
-        let mut other = vec![0.0f64; m];
         indexer.for_each_tuple(|flat, tuple| {
-            let n_c = counts[flat];
+            let n_c = cluster(flat, &mut sum);
             if n_c == 0 {
                 return;
             }
@@ -536,17 +606,18 @@ pub fn prop61_update_from_stats(
             match agg {
                 Aggregator::Sum => {
                     let row = num.row_mut(j);
-                    ops::add_assign(row, sums.row(flat));
+                    ops::add_assign(row, &sum);
                     ops::axpy(row, -(n_c as f64), &other);
                 }
                 Aggregator::Product => {
-                    ops::add_hadamard_assign(num.row_mut(j), sums.row(flat), &other);
+                    ops::add_hadamard_assign(num.row_mut(j), &sum, &other);
                     ops::add_weighted_square_assign(den.row_mut(j), n_c as f64, &other);
                 }
             }
         });
         for (j, &total) in totals.iter().enumerate() {
             if total == 0 {
+                on_empty(sets, q, j);
                 continue;
             }
             match agg {
@@ -592,9 +663,9 @@ pub fn fixed_assignment_objective(
 
 /// CSR-style grouping of point indices by flat cluster label: bucket
 /// `c`'s members are `idx[starts[c]..starts[c + 1]]` (to `idx.len()` for
-/// the last bucket), in ascending point order — the same order the old
-/// `Vec<Vec<usize>>` representation produced, so every accumulation
-/// downstream stays bitwise identical. Both backing buffers come from a
+/// the last bucket), in ascending point order — the order in which
+/// [`SuffStats`](crate::stats::SuffStats) folds points, so a cluster's sum
+/// equals a one-client round's bitwise. Both backing buffers come from a
 /// [`Scratch`] arena and must be returned with [`LabelBuckets::release`].
 struct LabelBuckets {
     starts: Vec<usize>,
@@ -607,9 +678,12 @@ impl LabelBuckets {
         &self.idx[self.starts[c]..end]
     }
 
+    /// Returns the buffers in reverse order of [`bucket_by_label`]'s
+    /// takes: the arena is a size-blind stack, so the next call pops each
+    /// one back into the same role.
     fn release(self, scratch: &Scratch) {
-        scratch.put_usize(self.starts);
         scratch.put_usize(self.idx);
+        scratch.put_usize(self.starts);
     }
 }
 
@@ -635,166 +709,6 @@ fn bucket_by_label(labels: &[usize], k: usize, scratch: &Scratch) -> LabelBucket
         idx[starts[l]] = i;
     }
     LabelBuckets { starts, idx }
-}
-
-/// Closed-form update of protocentroid set `q` (Proposition 6.1),
-/// generalized to `p` sets:
-///
-/// * sum: `θ_q^j = Σ_combos Σ_{x∈C} (x - o) / Σ_combos |C|`,
-///   where `o` is the sum of the other sets' rows for that combination;
-/// * product: `θ_q^j = Σ_combos Σ_{x∈C} x ⊙ w / Σ_combos |C| (w ⊙ w)`,
-///   where `w` is the Hadamard product of the other sets' rows
-///   (elementwise division; unconstrained dimensions keep their value).
-///
-/// Protocentroids whose combinations are all empty are reseeded to a
-/// random data point (Appendix B).
-///
-/// The per-tuple accumulation runs as per-chunk partial sums over the
-/// flat centroid index on `exec`'s pool ([`TUPLE_CHUNK`]-sized chunks,
-/// merged in ascending order — bitwise thread-invariant); the closed-form
-/// division and the RNG-driven empty reseeds stay serial.
-#[allow(clippy::too_many_arguments)]
-fn update_set(
-    data: &Matrix,
-    sets: &mut [Matrix],
-    q: usize,
-    clusters: &LabelBuckets,
-    indexer: &CentroidIndexer,
-    agg: Aggregator,
-    rng: &mut StdRng,
-    exec: &ExecCtx,
-) {
-    let m = data.ncols();
-    let h_q = sets[q].nrows();
-    let k = indexer.n_centroids();
-    let sets_ref: &[Matrix] = sets;
-    // For sum the denominator is a scalar count per protocentroid; for
-    // product it is elementwise. Only the product aggregator pays for
-    // the elementwise `den` accumulators (0 x 0 otherwise).
-    let den_rows = match agg {
-        Aggregator::Sum => 0,
-        Aggregator::Product => h_q,
-    };
-    let partials = parallel::reduce_chunks(
-        exec,
-        k,
-        TUPLE_CHUNK,
-        || {
-            (
-                Matrix::zeros(h_q, m),
-                Matrix::zeros(den_rows, m),
-                vec![0usize; h_q],
-            )
-        },
-        |(num, den, counts), start, end| {
-            let mut other = vec![0.0f64; m];
-            let mut tuple = vec![0usize; indexer.n_sets()];
-            for flat in start..end {
-                let members = clusters.members(flat);
-                if members.is_empty() {
-                    continue;
-                }
-                indexer.to_tuple_into(flat, &mut tuple);
-                let j = tuple[q];
-                counts[j] += members.len();
-                // Aggregate of all sets except q for this tuple.
-                agg.fill_identity(&mut other);
-                for (l, &jl) in tuple.iter().enumerate() {
-                    if l != q {
-                        agg.aggregate_assign(&mut other, sets_ref[l].row(jl));
-                    }
-                }
-                match agg {
-                    Aggregator::Sum => {
-                        let num_row = num.row_mut(j);
-                        for &i in members {
-                            ops::add_assign(num_row, data.row(i));
-                        }
-                        ops::axpy(num_row, -(members.len() as f64), &other);
-                    }
-                    Aggregator::Product => {
-                        let num_row = num.row_mut(j);
-                        for &i in members {
-                            ops::add_hadamard_assign(num_row, data.row(i), &other);
-                        }
-                        ops::add_weighted_square_assign(
-                            den.row_mut(j),
-                            members.len() as f64,
-                            &other,
-                        );
-                    }
-                }
-            }
-        },
-    );
-    let mut iter = partials.into_iter();
-    let (mut num, mut den, mut counts) = iter.next().unwrap_or_else(|| {
-        (
-            Matrix::zeros(h_q, m),
-            Matrix::zeros(den_rows, m),
-            vec![0usize; h_q],
-        )
-    });
-    for (pnum, pden, pcounts) in iter {
-        ops::add_assign(num.as_mut_slice(), pnum.as_slice());
-        ops::add_assign(den.as_mut_slice(), pden.as_slice());
-        for (c, p) in counts.iter_mut().zip(pcounts) {
-            *c += p;
-        }
-    }
-    let mut other = vec![0.0f64; m];
-
-    for (j, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            // Empty protocentroid (Appendix B): reseed so that one of
-            // its *combinations* lands exactly on a random data point —
-            // θ_q^j := x ⊖ o for a random tuple of the other sets, which
-            // keeps the reseeded centroid on the data manifold for both
-            // aggregators.
-            let pick = rng.gen_range(0..data.nrows());
-            let x = data.row(pick);
-            agg.fill_identity(&mut other);
-            for (l, set) in sets.iter().enumerate() {
-                if l != q {
-                    let jl = rng.gen_range(0..set.nrows());
-                    agg.aggregate_assign(&mut other, set.row(jl));
-                }
-            }
-            let dst = sets[q].row_mut(j);
-            for ((t, &xv), &ov) in dst.iter_mut().zip(x.iter()).zip(other.iter()) {
-                *t = match agg {
-                    Aggregator::Sum => xv - ov,
-                    Aggregator::Product => {
-                        if ov.abs() > 1e-9 {
-                            xv / ov
-                        } else {
-                            xv
-                        }
-                    }
-                };
-            }
-            continue;
-        }
-        match agg {
-            Aggregator::Sum => {
-                let inv = 1.0 / count as f64;
-                let dst = sets[q].row_mut(j);
-                for (t, &nv) in dst.iter_mut().zip(num.row(j).iter()) {
-                    *t = nv * inv;
-                }
-            }
-            Aggregator::Product => {
-                let dst = sets[q].row_mut(j);
-                for ((t, &nv), &dv) in dst.iter_mut().zip(num.row(j).iter()).zip(den.row(j).iter())
-                {
-                    if dv > 1e-12 {
-                        *t = nv / dv;
-                    }
-                    // else: dimension unconstrained by the data; keep.
-                }
-            }
-        }
-    }
 }
 
 /// Total squared movement of the aggregated centroid grid between two
@@ -1026,6 +940,13 @@ mod tests {
         let data = Matrix::zeros(10, 2);
         assert!(KrKMeans::new(vec![]).fit(&data).is_err());
         assert!(KrKMeans::new(vec![3, 0]).fit(&data).is_err());
+        // 2^64 centroids wrap usize to 0; the grid must be refused.
+        for variant in [KrVariant::TimeEfficient, KrVariant::MemoryEfficient] {
+            assert!(matches!(
+                KrKMeans::new(vec![2; 64]).with_variant(variant).fit(&data),
+                Err(CoreError::InvalidConfig(_))
+            ));
+        }
         let tiny = Matrix::zeros(2, 2);
         assert!(matches!(
             KrKMeans::new(vec![5, 2]).fit(&tiny),
@@ -1066,6 +987,52 @@ mod tests {
         }
         for w in inertias.windows(2) {
             assert!(w[1] <= w[0] + 1e-6, "inertia increased: {inertias:?}");
+        }
+    }
+
+    #[test]
+    fn empty_protocentroid_is_reseeded_onto_a_data_point() {
+        // Appendix B: no label uses protocentroid 1 of set 0, so the pass
+        // draws `pick` and then one index per other set, and moves it to
+        // x_pick ⊖ θ_1^{j1}. Set 1 updates after set 0, so θ_1 is the set
+        // as passed in.
+        let blobs = kr_datasets::synthetic::blobs(60, 3, 3, 0.5, 17).data;
+        let labels: Vec<usize> = (0..60).map(|i| i % 3).collect();
+        for (agg, shift) in [(Aggregator::Sum, 0.0), (Aggregator::Product, 20.0)] {
+            let data = blobs.map(|v| v + shift);
+            let sets = vec![data.select_rows(&[0, 1]), data.select_rows(&[20, 40, 59])];
+            for seed in [0u64, 1, 2] {
+                let mut updated = sets.clone();
+                prop61_update_pass_with(
+                    &data,
+                    &labels,
+                    &mut updated,
+                    agg,
+                    seed,
+                    &ExecCtx::serial(),
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                let x = data.row(rng.gen_range(0..data.nrows()));
+                let theta = sets[1].row(rng.gen_range(0..3));
+                let expect: Vec<f64> = match agg {
+                    Aggregator::Sum => x.iter().zip(theta).map(|(a, b)| a - b).collect(),
+                    Aggregator::Product => x.iter().zip(theta).map(|(a, b)| a / b).collect(),
+                };
+                assert_eq!(updated[0].row(1), &expect[..], "{agg:?} seed={seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn label_buckets_return_buffers_to_their_roles() {
+        // The Scratch arena is a size-blind LIFO stack: buffers put back
+        // in take order swap roles, and `starts` grows to n.
+        let scratch = Scratch::default();
+        let labels: Vec<usize> = (0..1000).map(|i| i % 4).collect();
+        for _ in 0..2 {
+            let clusters = bucket_by_label(&labels, 4, &scratch);
+            assert!(clusters.starts.capacity() < labels.len());
+            clusters.release(&scratch);
         }
     }
 

@@ -13,8 +13,8 @@
 use crate::aggregator::Aggregator;
 use crate::kmeans::{nearest_assignments_with, KMeans};
 use crate::kr_kmeans::prop61_update_from_stats;
-use crate::operator::{aggregate_tuple_into, khatri_rao, CentroidIndexer};
-use crate::{CoreError, Result};
+use crate::operator::{aggregate_tuple_into, checked_grid_size, khatri_rao, CentroidIndexer};
+use crate::Result;
 use kr_linalg::{ops, ExecCtx, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,11 +106,7 @@ impl NaiveKr {
 
     /// Runs both phases.
     pub fn fit(&self, data: &Matrix) -> Result<NaiveKrModel> {
-        if self.hs.is_empty() || self.hs.contains(&0) {
-            return Err(CoreError::InvalidConfig("set sizes must be >= 1".into()));
-        }
-        let indexer = CentroidIndexer::new(self.hs.clone());
-        let k = indexer.n_centroids();
+        let k = checked_grid_size(&self.hs)?;
         // Phase 1: unconstrained k-Means with the full cluster count.
         let km = KMeans::new(k)
             .with_n_init(self.kmeans_n_init)
@@ -266,5 +262,6 @@ mod tests {
         let data = Matrix::zeros(10, 2);
         assert!(NaiveKr::new(vec![]).fit(&data).is_err());
         assert!(NaiveKr::new(vec![0, 2]).fit(&data).is_err());
+        assert!(NaiveKr::new(vec![2; 64]).fit(&data).is_err());
     }
 }

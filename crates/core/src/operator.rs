@@ -105,15 +105,37 @@ impl CentroidIndexer {
     }
 }
 
-/// Validates that protocentroid sets are non-empty and dimensionally
-/// consistent; returns the shared dimensionality `m`.
-pub fn check_sets(sets: &[Matrix]) -> Result<usize> {
-    if sets.is_empty() {
-        return Err(CoreError::InvalidConfig("no protocentroid sets".into()));
+/// The grid size `∏ h_l` of protocentroid set sizes `hs`.
+///
+/// Returns [`CoreError::InvalidConfig`] when `hs` is empty, holds a zero,
+/// or its product overflows or reaches 2^53: flat labels round-trip
+/// through `f64` buffers in the assignment step, which hold every
+/// integer below 2^53 exactly.
+pub fn checked_grid_size(hs: &[usize]) -> Result<usize> {
+    if hs.is_empty() || hs.contains(&0) {
+        return Err(CoreError::InvalidConfig(
+            "protocentroid set sizes must be non-empty and >= 1".into(),
+        ));
     }
+    hs.iter()
+        .try_fold(1usize, |k, &h| k.checked_mul(h))
+        .filter(|&k| k < 1 << 53)
+        .ok_or_else(|| {
+            CoreError::InvalidConfig(format!(
+                "{} protocentroid sets span 2^53 or more centroids",
+                hs.len()
+            ))
+        })
+}
+
+/// Validates that protocentroid sets are non-empty, span a grid
+/// [`checked_grid_size`] accepts, and are dimensionally consistent;
+/// returns the shared dimensionality `m`.
+pub fn check_sets(sets: &[Matrix]) -> Result<usize> {
+    checked_grid_size(&sets.iter().map(|s| s.nrows()).collect::<Vec<_>>())?;
     let m = sets[0].ncols();
     for (l, s) in sets.iter().enumerate() {
-        if s.nrows() == 0 || s.ncols() == 0 {
+        if s.ncols() == 0 {
             return Err(CoreError::InvalidConfig(format!(
                 "protocentroid set {l} is empty"
             )));
@@ -244,6 +266,27 @@ mod tests {
         let b = Matrix::zeros(2, 4);
         assert!(check_sets(&[a.clone(), b]).is_err());
         assert!(check_sets(&[a]).is_ok());
+    }
+
+    #[test]
+    fn grid_sizes_stay_below_the_label_bound() {
+        assert_eq!(checked_grid_size(&[3, 4, 2]).unwrap(), 24);
+        assert_eq!(
+            checked_grid_size(&[1 << 26, (1 << 27) - 1]).unwrap(),
+            (1 << 53) - (1 << 26)
+        );
+        for hs in [vec![], vec![3, 0], vec![1 << 26, 1 << 27], vec![2; 64]] {
+            assert!(
+                matches!(checked_grid_size(&hs), Err(CoreError::InvalidConfig(_))),
+                "{hs:?}"
+            );
+        }
+        // 3^41 wraps usize: the grid must be refused, not allocated.
+        let sets = vec![Matrix::zeros(3, 1); 41];
+        assert!(matches!(
+            khatri_rao(&sets, Aggregator::Sum),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! federated client can compute it locally, a wire layer can frame it
 //! (every field is a flat row-major `f64`/`u64` block), and a server can
 //! merge client contributions in a fixed order — which keeps distributed
-//! updates bitwise deterministic.
+//! updates bitwise deterministic. A batch KR fit runs the same
+//! closed-form code on the same pair, each cluster's sum built in point
+//! order as [`SuffStats::observe`] builds it, so one client's statistics
+//! update the sets bitwise as the centralized pass does.
 //!
 //! The same pair is what a *bounded-memory stream* accumulates:
 //! [`SuffStats::observe`] folds one labeled point and

@@ -388,6 +388,7 @@ mod tests {
             proto(vec![grid(2, 2), grid(2, 3)]),
             proto(vec![grid(2, 2), Matrix::zeros(0, 2)]),
             Summary::Centroids(grid(3, 5)),
+            proto(vec![grid(3, 2); 41]),
         ];
         for summary in summaries {
             let (frame, _) = crate::wire::encode(&Msg::Broadcast(Broadcast {

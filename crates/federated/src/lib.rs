@@ -503,47 +503,76 @@ mod tests {
             .run(&clients),
             Err(CoreError::InvalidConfig(_))
         ));
+        // 2^64 centroids wrap usize to 0; the grid must be refused.
+        assert!(matches!(
+            KrFkM {
+                hs: vec![2; 64],
+                aggregator: Aggregator::Sum,
+                rounds: 1,
+                seed: 0
+            }
+            .run(&clients),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]
     fn federated_stats_update_matches_centralized_pass() {
         // One KR-FkM round from a fixed state == one centralized
-        // Prop. 6.1 pass with the same assignments.
-        let ds = kr_datasets::synthetic::blobs(80, 2, 4, 0.5, 11);
-        let client_of: Vec<usize> = (0..80).map(|i| i % 4).collect();
-        let clients = shard_by_assignment(&ds.data, &client_of, 4);
-        let sets = vec![
-            Matrix::from_rows(&[vec![1.0, 0.0], vec![-1.0, 2.0]]).unwrap(),
-            Matrix::from_rows(&[vec![0.5, 0.5], vec![2.0, -2.0]]).unwrap(),
-        ];
-        let centroids = khatri_rao(&sets, Aggregator::Sum).unwrap();
-        // Centralized: labels + prop61 pass over the pooled data.
-        let labels = kr_metrics::internal::nearest_assignments(&ds.data, &centroids);
-        let mut central = sets.clone();
-        kr_core::kr_kmeans::prop61_update_pass_with(
-            &ds.data,
-            &labels,
-            &mut central,
-            Aggregator::Sum,
-            0,
-            &ExecCtx::serial(),
-        );
-        // Federated: merge the client stats in client order, update from
-        // stats.
-        let mut agg = kr_core::stats::SuffStats::zeros(centroids.nrows(), centroids.ncols());
-        for (i, client) in clients.iter().enumerate() {
-            let local = protocol::compute_local_stats(
-                &client.data,
-                &centroids,
-                i as u32,
+        // Prop. 6.1 pass with the same assignments. Both run the same
+        // closed-form core on each cluster's point-order sum, so one
+        // client matches bitwise; four clients regroup those sums, so
+        // they match within rounding.
+        let blobs = kr_datasets::synthetic::blobs(80, 2, 4, 0.5, 11).data;
+        for agg in [Aggregator::Sum, Aggregator::Product] {
+            // Product runs on the blobs shifted by +20, away from zero.
+            let (shift, rows) = match agg {
+                Aggregator::Sum => (0.0, [[1.0, 0.0], [-1.0, 2.0], [0.5, 0.5], [2.0, -2.0]]),
+                Aggregator::Product => (20.0, [[4.0, 4.0], [5.0, 5.0], [4.0, 5.0], [5.0, 4.0]]),
+            };
+            let data = blobs.map(|v| v + shift);
+            let rows = rows.map(|r| r.to_vec());
+            let sets = vec![
+                Matrix::from_rows(&rows[..2]).unwrap(),
+                Matrix::from_rows(&rows[2..]).unwrap(),
+            ];
+            let centroids = khatri_rao(&sets, agg).unwrap();
+            let labels = kr_metrics::internal::nearest_assignments(&data, &centroids);
+            let mut central = sets.clone();
+            kr_core::kr_kmeans::prop61_update_pass_with(
+                &data,
+                &labels,
+                &mut central,
+                agg,
+                0,
                 &ExecCtx::serial(),
             );
-            agg.merge(&local.stats).unwrap();
-        }
-        let mut fed = sets.clone();
-        prop61_update_from_stats(&agg.sums, &agg.counts_usize(), &mut fed, Aggregator::Sum);
-        for (a, b) in central.iter().zip(fed.iter()) {
-            assert!(a.sub(b).unwrap().max_abs() < 1e-9, "central != federated");
+            for n_clients in [1usize, 4] {
+                // Merge the client stats in client order, update from
+                // stats.
+                let client_of: Vec<usize> = (0..80).map(|i| i % n_clients).collect();
+                let clients = shard_by_assignment(&data, &client_of, n_clients);
+                let mut stats = kr_core::stats::SuffStats::zeros(centroids.nrows(), 2);
+                for (i, client) in clients.iter().enumerate() {
+                    let local = protocol::compute_local_stats(
+                        &client.data,
+                        &centroids,
+                        i as u32,
+                        &ExecCtx::serial(),
+                    );
+                    stats.merge(&local.stats).unwrap();
+                }
+                let mut fed = sets.clone();
+                prop61_update_from_stats(&stats.sums, &stats.counts_usize(), &mut fed, agg);
+                for (a, b) in central.iter().zip(fed.iter()) {
+                    if n_clients == 1 {
+                        assert_eq!(a, b, "{agg:?}: one client != centralized");
+                    } else {
+                        let gap = a.sub(b).unwrap().max_abs();
+                        assert!(gap < 1e-9, "{agg:?}: central != federated by {gap}");
+                    }
+                }
+            }
         }
     }
 }

@@ -29,6 +29,7 @@ use crate::transport::{classify, for_each_connection, recv_expected, Connection,
 use crate::wire::FrameInfo;
 use crate::{FederatedModel, RoundStats};
 use kr_core::aggregator::Aggregator;
+use kr_core::operator::checked_grid_size;
 use kr_core::stats::SuffStats;
 use kr_core::{CoreError, Result};
 use kr_linalg::{ops, ExecCtx, Matrix};
@@ -144,9 +145,7 @@ impl FederatedServer {
                 }
             }
             Algo::KrFkm { hs, .. } => {
-                if hs.is_empty() || hs.contains(&0) {
-                    return Err(CoreError::InvalidConfig("set sizes must be >= 1".into()));
-                }
+                checked_grid_size(hs)?;
             }
         }
         let mut driver = Driver::register(conns, exec, self.resilience.round_deadline)?;

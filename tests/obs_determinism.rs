@@ -87,7 +87,13 @@ fn krkmeans_fit_is_bitwise_invisible_across_workers_kernels_prune() {
                     recorded.centroids(),
                     "{ctx}: assembled centroids"
                 );
-                let mut expect = vec!["krkmeans.seed", "krkmeans.lloyd", "assign.pass"];
+                let mut expect = vec![
+                    "krkmeans.seed",
+                    "krkmeans.lloyd",
+                    "krkmeans.update",
+                    "krkmeans.warm_start",
+                    "assign.pass",
+                ];
                 if prune == PruneMode::On {
                     expect.push("assign.dists_skipped");
                 }
