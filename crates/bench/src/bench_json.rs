@@ -266,6 +266,8 @@ mod tests {
             "\n",
             r#"{"ts":8,"span":0,"kind":"hist","name":"h","value":9,"worker":0,"labels":{}}"#,
             "\n",
+            r#"{"dropped":0}"#,
+            "\n",
         );
         let snapshot = kr_obs::Snapshot::parse_jsonl(text).unwrap();
         let records = records_from_obs(&snapshot, "trace");

@@ -11,8 +11,8 @@
 //!   "Rk-means: Fast Clustering for Relational Data"): points are first
 //!   pre-aggregated on a per-dimension grid into a small set of
 //!   **weighted representatives**, then weighted Lloyd iterations run on
-//!   the compressed set. The weighted Lloyd core is exposed separately
-//!   as [`WeightedKMeans`].
+//!   the compressed set through [`WeightedKMeans`], a builder over
+//!   [`KMeans`](crate::KMeans)'s Lloyd core with cell counts as weights.
 //! * [`NnkMeans`] — NNK-Means-style *dictionary-learning summarization*
 //!   (Shekkizhar & Ortega, "NNK-Means: Data summarization using
 //!   dictionary learning with non-negative kernel regression"): each

@@ -13,9 +13,9 @@
 //!    occupied cell becomes one representative at the *mean* of its
 //!    points, weighted by its point count. Too-coarse grids (fewer
 //!    occupied cells than `k`) auto-refine by doubling the resolution.
-//! 2. **Cluster** — [`WeightedKMeans`] runs on the representatives, then
-//!    the original points are assigned to the final centroids for the
-//!    reported labels/inertia.
+//! 2. **Cluster** — [`WeightedKMeans`], the k-Means core with cell counts
+//!    as weights, runs on the representatives, then the original points
+//!    are assigned to the final centroids for the reported labels/inertia.
 //!
 //! With a grid fine enough that every point owns its own cell the
 //! compression is lossless and the fit is **bitwise identical** to

@@ -1,25 +1,37 @@
-//! Weighted Lloyd iterations: k-Means over points carrying non-negative
+//! Weighted k-Means: Lloyd iterations over points carrying non-negative
 //! weights.
 //!
 //! This is the inner solver of [`RkMeans`](super::RkMeans) — after grid
 //! compression every representative carries the number of original
-//! points it stands for — but it is useful on its own whenever data
-//! arrives pre-aggregated (weighted coresets, histogram bins, relational
-//! aggregates). With all weights equal to `1.0` it follows exactly the
-//! same code path, RNG consumption, and chunked reduction geometry on
-//! every input, so unit-weight fits are bitwise reproducible references
-//! for the compressed fits (property-tested in `tests/proptests.rs`).
+//! points it stands for — and the compressor of `kr-stream`'s coreset
+//! tree, and it serves any pre-aggregated data (weighted coresets,
+//! histogram bins, relational aggregates). [`WeightedKMeans`] checks the
+//! weights and runs [`KMeans`]'s Lloyd core (see [`crate::kmeans`]) with
+//! them, so every weight vector takes the same code path, RNG
+//! consumption and chunked reduction geometry, and unit-weight fits are
+//! bitwise references for the compressed fits (property-tested in
+//! `tests/proptests.rs`).
+//!
+//! Each weight must be 0 or lie in [2^-64, 2^64], and one must be
+//! positive; anything else is an [`InvalidConfig`](CoreError::InvalidConfig)
+//! error. Scaling every weight by one factor leaves the fit unchanged,
+//! so weights that fit the window after scaling lose nothing. Inside it
+//! no cluster total or its inverse overflows or turns subnormal, and a
+//! weighted product stays within 2^64 of the unweighted one. Outside it,
+//! weights of 1e308 would overflow the objective, and subnormal ones a
+//! cluster's inverse total, into infinite centroids.
 
-use crate::assign::{AssignEngine, PruneStats};
-use crate::kmeans::{validate_input, UPDATE_CHUNK};
+use crate::kmeans::{validate_input, KMeans, KMeansModel};
 use crate::{CoreError, Result};
-use kr_linalg::{ops, parallel, ExecCtx, Matrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use kr_linalg::{ExecCtx, Matrix};
 
-/// Weighted k-Means runner (builder style), mirroring
-/// [`KMeans`](crate::KMeans)'s defaults: k-means++ seeding (D²-weighted
-/// by point weight), 20 restarts, 200 iterations, tolerance `1e-4`.
+/// 2^64, the largest accepted weight (the smallest positive one is its
+/// inverse).
+const WEIGHT_BOUND: f64 = 18_446_744_073_709_551_616.0;
+
+/// Weighted k-Means runner (builder style), with [`KMeans`]'s defaults:
+/// k-means++ seeding (D²-weighted by point weight), 20 restarts, 200
+/// iterations, tolerance `1e-4`.
 ///
 /// ```
 /// use kr_core::baselines::WeightedKMeans;
@@ -36,167 +48,51 @@ use rand::{Rng, SeedableRng};
 /// assert_ne!(model.labels[0], model.labels[2]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct WeightedKMeans {
-    k: usize,
-    n_init: usize,
-    max_iter: usize,
-    tol: f64,
-    seed: u64,
-    exec: ExecCtx,
-}
+pub struct WeightedKMeans(KMeans);
 
-/// A fitted [`WeightedKMeans`] model.
-#[derive(Debug, Clone)]
-pub struct WeightedKMeansModel {
-    /// Final centroids, `k x m`.
-    pub centroids: Matrix,
-    /// Per-point cluster assignments.
-    pub labels: Vec<usize>,
-    /// Final **weighted** inertia: `Σ wᵢ ‖xᵢ − c(xᵢ)‖²`.
-    pub inertia: f64,
-    /// Iterations executed by the best restart.
-    pub n_iter: usize,
-    /// Distance-evaluation pruning counters accumulated over the whole
-    /// fit (all restarts). Telemetry only — never part of the bitwise
-    /// determinism contract. Point weights scale the *update* step, not
-    /// the geometry, so assignment pruning applies unchanged.
-    pub prune_stats: PruneStats,
-}
+/// A fitted [`WeightedKMeans`] model; its `inertia` is the weighted
+/// objective `Σ wᵢ ‖xᵢ − c(xᵢ)‖²`.
+pub type WeightedKMeansModel = KMeansModel;
 
 impl WeightedKMeans {
     /// Creates a runner for `k` clusters.
     pub fn new(k: usize) -> Self {
-        WeightedKMeans {
-            k,
-            n_init: 20,
-            max_iter: 200,
-            tol: 1e-4,
-            seed: 0,
-            exec: ExecCtx::serial(),
-        }
+        WeightedKMeans(KMeans::new(k))
     }
 
     /// Sets the number of random restarts (best weighted inertia wins).
-    pub fn with_n_init(mut self, n_init: usize) -> Self {
-        self.n_init = n_init.max(1);
-        self
+    pub fn with_n_init(self, n_init: usize) -> Self {
+        WeightedKMeans(self.0.with_n_init(n_init))
     }
 
     /// Sets the maximum Lloyd iterations per restart.
-    pub fn with_max_iter(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter.max(1);
-        self
+    pub fn with_max_iter(self, max_iter: usize) -> Self {
+        WeightedKMeans(self.0.with_max_iter(max_iter))
     }
 
     /// Sets the convergence tolerance on total squared centroid movement.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
+    pub fn with_tol(self, tol: f64) -> Self {
+        WeightedKMeans(self.0.with_tol(tol))
     }
 
     /// Sets the RNG seed (fits are deterministic given the seed).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        WeightedKMeans(self.0.with_seed(seed))
     }
 
     /// Sets the execution context used by the assignment and update
     /// steps.
-    pub fn with_exec(mut self, exec: ExecCtx) -> Self {
-        self.exec = exec;
-        self
+    pub fn with_exec(self, exec: ExecCtx) -> Self {
+        WeightedKMeans(self.0.with_exec(exec))
     }
 
     /// Runs weighted k-Means over `points` (one row per weighted point)
-    /// with the given non-negative `weights`, returning the best model
-    /// over all restarts.
+    /// with the given `weights` (each 0 or in [2^-64, 2^64], not all 0),
+    /// returning the best model over all restarts.
     pub fn fit(&self, points: &Matrix, weights: &[f64]) -> Result<WeightedKMeansModel> {
-        validate_input(points, self.k)?;
+        validate_input(points, self.0.k)?;
         validate_weights(points, weights)?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // One bounds-gated engine across all restarts (same reuse story
-        // as `KMeans::fit`): weights never enter the distance geometry.
-        let mut engine = AssignEngine::new(&self.exec);
-        engine.begin_fit(points);
-        let mut best: Option<WeightedKMeansModel> = None;
-        for _ in 0..self.n_init {
-            let model = self.fit_once(points, weights, &mut rng, &mut engine)?;
-            if best.as_ref().is_none_or(|b| model.inertia < b.inertia) {
-                best = Some(model);
-            }
-        }
-        let mut best = best.expect("n_init >= 1");
-        best.prune_stats = engine.take_stats();
-        Ok(best)
-    }
-
-    fn fit_once(
-        &self,
-        points: &Matrix,
-        weights: &[f64],
-        rng: &mut StdRng,
-        engine: &mut AssignEngine,
-    ) -> Result<WeightedKMeansModel> {
-        let n = points.nrows();
-        let mut centroids = weighted_plus_plus_init(points, weights, self.k, rng);
-        let mut labels = vec![0usize; n];
-        let mut dmin = vec![0.0f64; n];
-        let mut n_iter = 0;
-        let mut inertia = f64::INFINITY;
-        // Same freshness bookkeeping as `KMeans::fit_once`: skip the
-        // post-loop re-assignment when the last update moved nothing.
-        let mut assignments_fresh = false;
-        engine.begin_restart();
-        for it in 0..self.max_iter {
-            n_iter = it + 1;
-            engine.assign_dense(points, &centroids, &mut labels, &mut dmin);
-            inertia = weighted_sum(&dmin, weights);
-
-            let (sums, wsums) = weighted_cluster_sums(points, weights, &labels, self.k, &self.exec);
-            let mut movement = 0.0;
-            for (c, &wsum) in wsums.iter().enumerate() {
-                if wsum <= 0.0 {
-                    // Empty (or zero-weight) cluster: reseed to a random
-                    // data point, the same policy as plain k-Means.
-                    let pick = rng.gen_range(0..n);
-                    let new_row = points.row(pick).to_vec();
-                    movement += ops::sqdist(centroids.row(c), &new_row);
-                    centroids.row_mut(c).copy_from_slice(&new_row);
-                    continue;
-                }
-                let inv = 1.0 / wsum;
-                let sum_row = sums.row(c);
-                let cen_row = centroids.row_mut(c);
-                let mut delta = 0.0;
-                for (cv, &sv) in cen_row.iter_mut().zip(sum_row.iter()) {
-                    let nv = sv * inv;
-                    let d = nv - *cv;
-                    delta += d * d;
-                    *cv = nv;
-                }
-                movement += delta;
-            }
-            assignments_fresh = movement == 0.0;
-            if movement < self.tol {
-                break;
-            }
-        }
-        if !assignments_fresh {
-            engine.assign_dense(points, &centroids, &mut labels, &mut dmin);
-            // Unlike `KMeans::fit_once` there is no `.min()` against the
-            // loop's running value: the reported inertia must equal the
-            // objective of the *returned* labels/centroids exactly (the
-            // Rk-means lossless-grid equivalence is asserted bitwise),
-            // even when a final-iteration reseed made things worse.
-            inertia = weighted_sum(&dmin, weights);
-        }
-        Ok(WeightedKMeansModel {
-            centroids,
-            labels,
-            inertia,
-            n_iter,
-            prune_stats: PruneStats::default(),
-        })
+        Ok(self.0.lloyd(points, Some(weights)))
     }
 }
 
@@ -208,109 +104,19 @@ fn validate_weights(points: &Matrix, weights: &[f64]) -> Result<()> {
             points.nrows()
         )));
     }
-    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-        return Err(CoreError::InvalidConfig(
-            "weights must be finite and non-negative".into(),
-        ));
+    let accepted = 1.0 / WEIGHT_BOUND..=WEIGHT_BOUND;
+    if let Some(w) = weights.iter().find(|&w| *w != 0.0 && !accepted.contains(w)) {
+        return Err(CoreError::InvalidConfig(format!(
+            "weight {w:e} is neither 0 nor in [2^-64, 2^64]; \
+             scaling every weight by one factor leaves the fit unchanged"
+        )));
     }
-    if weights.iter().sum::<f64>() <= 0.0 {
+    if weights.iter().all(|&w| w == 0.0) {
         return Err(CoreError::InvalidConfig(
             "total weight must be positive".into(),
         ));
     }
     Ok(())
-}
-
-/// `Σ wᵢ dᵢ`, accumulated serially in point order (bitwise reproducible
-/// at any thread count because it never runs on the pool).
-fn weighted_sum(d: &[f64], w: &[f64]) -> f64 {
-    d.iter().zip(w).map(|(&d, &w)| w * d).sum()
-}
-
-/// Per-cluster **weighted** coordinate sums (`k x m`) and weight totals,
-/// accumulated exactly like [`cluster_sums`](crate::kmeans::cluster_sums):
-/// fixed [`UPDATE_CHUNK`]-sized chunk partials merged in ascending chunk
-/// order, so the result is bitwise identical for every `ExecCtx`.
-pub(crate) fn weighted_cluster_sums(
-    points: &Matrix,
-    weights: &[f64],
-    labels: &[usize],
-    k: usize,
-    exec: &ExecCtx,
-) -> (Matrix, Vec<f64>) {
-    let m = points.ncols();
-    let n = points.nrows();
-    let partials = parallel::reduce_chunks(
-        exec,
-        n,
-        UPDATE_CHUNK,
-        || (Matrix::zeros(k, m), vec![0.0f64; k]),
-        |(sums, wsums), start, end| {
-            for (off, &l) in labels[start..end].iter().enumerate() {
-                let w = weights[start + off];
-                ops::axpy(sums.row_mut(l), w, points.row(start + off));
-                wsums[l] += w;
-            }
-        },
-    );
-    let mut iter = partials.into_iter();
-    let (mut sums, mut wsums) = iter
-        .next()
-        .unwrap_or_else(|| (Matrix::zeros(k, m), vec![0.0f64; k]));
-    for (psums, pwsums) in iter {
-        ops::add_assign(sums.as_mut_slice(), psums.as_slice());
-        for (c, p) in wsums.iter_mut().zip(pwsums) {
-            *c += p;
-        }
-    }
-    (sums, wsums)
-}
-
-/// k-means++ seeding where sampling probabilities carry the point
-/// weights: the first centroid is drawn with probability ∝ `wᵢ`,
-/// subsequent ones with probability ∝ `wᵢ · D²(xᵢ)`.
-fn weighted_plus_plus_init(points: &Matrix, weights: &[f64], k: usize, rng: &mut StdRng) -> Matrix {
-    let n = points.nrows();
-    let mut centroids = Matrix::zeros(k, points.ncols());
-    let first = sample_weighted_index(weights, rng);
-    centroids.row_mut(0).copy_from_slice(points.row(first));
-    let mut d2: Vec<f64> = points
-        .rows_iter()
-        .map(|x| ops::sqdist(x, centroids.row(0)))
-        .collect();
-    let mut masses: Vec<f64> = vec![0.0; n];
-    for c in 1..k {
-        for ((mass, &d), &w) in masses.iter_mut().zip(&d2).zip(weights) {
-            *mass = w * d;
-        }
-        let pick = sample_weighted_index(&masses, rng);
-        centroids.row_mut(c).copy_from_slice(points.row(pick));
-        for (i, x) in points.rows_iter().enumerate() {
-            let d = ops::sqdist(x, centroids.row(c));
-            if d < d2[i] {
-                d2[i] = d;
-            }
-        }
-    }
-    centroids
-}
-
-/// Draws an index with probability proportional to `masses` (uniform
-/// fallback when the total mass is zero).
-fn sample_weighted_index(masses: &[f64], rng: &mut StdRng) -> usize {
-    let total: f64 = masses.iter().sum();
-    if total > 0.0 {
-        let mut target = rng.gen_range(0.0..total);
-        for (i, &w) in masses.iter().enumerate() {
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        masses.len() - 1
-    } else {
-        rng.gen_range(0..masses.len())
-    }
 }
 
 #[cfg(test)]
@@ -386,6 +192,45 @@ mod tests {
             Err(CoreError::InvalidConfig(_))
         ));
         assert!(matches!(fit(&[0.0, 0.0]), Err(CoreError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn extreme_weights_are_typed_errors_and_in_range_ones_fit_finite() {
+        // The doc example's four points.
+        let pts = Matrix::from_rows(&[
+            vec![0.0, 0.0],
+            vec![0.2, 0.0],
+            vec![9.0, 9.0],
+            vec![9.2, 9.0],
+        ])
+        .unwrap();
+        let fit = |w: &[f64]| WeightedKMeans::new(2).with_seed(1).fit(&pts, w);
+        // Unchecked, the first two overflow the centroids and the
+        // inertia, and the last two give a centroid [inf, inf].
+        for w in [1e308, f64::MAX, 1e-310, 5e-324] {
+            assert!(
+                matches!(fit(&[w; 4]), Err(CoreError::InvalidConfig(_))),
+                "weight {w:e}"
+            );
+        }
+        // A subnormal weight beside a unit one: alone in its cluster
+        // after one iteration, its inverse total overflows to a centroid
+        // [inf, inf].
+        let two = Matrix::from_rows(&[vec![0.0, 0.0], vec![9.2, 9.0]]).unwrap();
+        let one_iter = WeightedKMeans::new(2).with_seed(1).with_max_iter(1);
+        assert!(matches!(
+            one_iter.fit(&two, &[1.0, 5e-324]),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        // The ends of the window fit the unit-weight model: scaling every
+        // weight by a power of two scales only the inertia, exactly.
+        let unit = fit(&[1.0; 4]).unwrap();
+        for scale in [1.0 / WEIGHT_BOUND, WEIGHT_BOUND] {
+            let model = fit(&[scale; 4]).unwrap();
+            assert_eq!(model.centroids, unit.centroids, "scale {scale:e}");
+            assert_eq!(model.labels, unit.labels);
+            assert_eq!(model.inertia.to_bits(), (unit.inertia * scale).to_bits());
+        }
     }
 
     #[test]

@@ -1,9 +1,23 @@
-//! Standard k-Means (Lloyd's algorithm) baseline.
+//! Standard k-Means (Lloyd's algorithm), with optional point weights.
 //!
-//! Mirrors the structure of [`crate::kr_kmeans`] — same distance kernel,
-//! same restart logic, same empty-cluster handling — so the scalability
+//! Every k-Means fit in the workspace runs one Lloyd core: [`KMeans`]
+//! and [`WeightedKMeans`](crate::baselines::WeightedKMeans) share the
+//! restart loop, the chunked sum reduction (`UPDATE_CHUNK`), the
+//! k-means++ seeder and the closed-form update [`mean_update`], which the
+//! federated k-Means server also runs on its clients' statistics. Point
+//! weights enter in three places: the seeder draws ∝ `wᵢ`, then
+//! ∝ `wᵢ·D²(xᵢ)`; the update takes `Σ wᵢxᵢ / Σ wᵢ`; the objective sums
+//! `wᵢ·dᵢ`. Unit weights give the update and the objective the bits of
+//! an unweighted fit (`1.0·x` rounds like `x`, and a sum of 1.0s equals
+//! the count).
+//!
+//! The core mirrors [`crate::kr_kmeans`] — same distance kernel, same
+//! restart logic, same empty-cluster handling — so the scalability
 //! comparison of Figure 8 measures the Khatri-Rao machinery rather than
-//! incidental implementation differences (paper Appendix B).
+//! incidental implementation differences (paper Appendix B). One core
+//! keeps that true for the k-Means runs inside other methods: the KR
+//! warm start, Rk-means' weighted phase and the coreset tree's
+//! compressions run the baseline's own code.
 
 use crate::assign::{AssignEngine, PruneStats};
 use crate::{CoreError, Result};
@@ -42,7 +56,7 @@ pub enum KMeansInit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct KMeans {
-    k: usize,
+    pub(crate) k: usize,
     init: KMeansInit,
     n_init: usize,
     max_iter: usize,
@@ -58,13 +72,16 @@ pub struct KMeansModel {
     pub centroids: Matrix,
     /// Per-point cluster assignments.
     pub labels: Vec<usize>,
-    /// Final inertia (sum of squared distances to assigned centroids).
+    /// Objective of the returned labels and centroids: the sum over
+    /// points, in point order, of the squared distance `dᵢ` to the
+    /// assigned centroid. Weighted fits sum `wᵢ·dᵢ`.
     pub inertia: f64,
     /// Iterations executed by the best restart.
     pub n_iter: usize,
     /// Distance-evaluation pruning counters accumulated over the whole
     /// fit (all restarts). Telemetry only — never part of the bitwise
-    /// determinism contract.
+    /// determinism contract. Point weights scale the update step, not
+    /// the geometry, so assignment pruning applies unchanged.
     pub prune_stats: PruneStats,
 }
 
@@ -134,48 +151,52 @@ impl KMeans {
                 )));
             }
         }
+        Ok(self.lloyd(data, None))
+    }
+
+    /// The Lloyd core: `n_init` restarts drawing from one seeded RNG,
+    /// lowest objective wins. `data` (and `weights`, one non-negative
+    /// weight per row when given) must already be validated.
+    pub(crate) fn lloyd(&self, data: &Matrix, weights: Option<&[f64]>) -> KMeansModel {
         let mut rng = StdRng::seed_from_u64(self.seed);
         // One bounds-gated engine reused across all restarts: its point
         // caches survive the whole fit and its per-restart state buffers
         // recycle through the Scratch arena, so steady-state restarts
-        // allocate nothing.
+        // allocate nothing. Weights never enter the distance geometry.
         let mut engine = AssignEngine::new(&self.exec);
         engine.begin_fit(data);
         let mut best: Option<KMeansModel> = None;
         for _ in 0..self.n_init {
-            let model = self.fit_once(data, &mut rng, &mut engine)?;
+            let model = self.fit_once(data, weights, &mut rng, &mut engine);
             if best.as_ref().is_none_or(|b| model.inertia < b.inertia) {
                 best = Some(model);
             }
         }
         let mut best = best.expect("n_init >= 1");
         best.prune_stats = engine.take_stats();
-        Ok(best)
+        best
     }
 
     fn fit_once(
         &self,
         data: &Matrix,
+        weights: Option<&[f64]>,
         rng: &mut StdRng,
         engine: &mut AssignEngine,
-    ) -> Result<KMeansModel> {
-        let (n, m) = data.shape();
+    ) -> KMeansModel {
+        let n = data.nrows();
         let mut centroids = {
             let _seed = kr_obs::span!("kmeans.seed", "k" => self.k);
             match &self.init {
                 KMeansInit::Random => sample_rows(data, self.k, rng),
-                KMeansInit::PlusPlus => plus_plus_init(data, self.k, rng),
-                KMeansInit::FromCentroids(c) => {
-                    debug_assert_eq!(c.shape(), (self.k, m), "warm-start shape");
-                    c.clone()
-                }
+                KMeansInit::PlusPlus => plus_plus_init(data, weights, self.k, rng),
+                KMeansInit::FromCentroids(c) => c.clone(),
             }
         };
         let _lloyd = kr_obs::span!("kmeans.lloyd", "k" => self.k);
         let mut labels = vec![0usize; n];
         let mut dmin = vec![0.0f64; n];
         let mut n_iter = 0;
-        let mut inertia = f64::INFINITY;
         // Do `labels`/`dmin` reflect the current centroids exactly? Set
         // whenever an update pass leaves every centroid untouched, so the
         // post-loop re-assignment can be skipped (it would recompute the
@@ -185,35 +206,15 @@ impl KMeans {
         for it in 0..self.max_iter {
             n_iter = it + 1;
             engine.assign_dense(data, &centroids, &mut labels, &mut dmin);
-            inertia = dmin.iter().sum();
-
-            // Update step: cluster means, accumulated as per-chunk
-            // partial sums on the pool and merged in ascending chunk
-            // order (fixed geometry => bitwise thread-invariant).
-            let (sums, counts) = cluster_sums(data, &labels, self.k, &self.exec);
-            let mut movement = 0.0;
-            for (c, &count) in counts.iter().enumerate() {
-                if count == 0 {
-                    // Empty cluster: reseed to a random data point
-                    // (Appendix B's policy, shared with KR-k-Means).
-                    let pick = rng.gen_range(0..n);
-                    let new_row = data.row(pick).to_vec();
-                    movement += ops::sqdist(centroids.row(c), &new_row);
-                    centroids.row_mut(c).copy_from_slice(&new_row);
-                    continue;
-                }
-                let inv = 1.0 / count as f64;
-                let sum_row = sums.row(c);
-                let cen_row = centroids.row_mut(c);
-                let mut delta = 0.0;
-                for (cv, &sv) in cen_row.iter_mut().zip(sum_row.iter()) {
-                    let nv = sv * inv;
-                    let d = nv - *cv;
-                    delta += d * d;
-                    *cv = nv;
-                }
-                movement += delta;
-            }
+            let (sums, totals) = cluster_sums(data, weights, &labels, self.k, &self.exec);
+            let movement = mean_update(&mut centroids, &sums, &totals, |row| {
+                // Empty (or zero-weight) cluster: reseed to a random data
+                // point (Appendix B's policy, shared with KR-k-Means).
+                let pick = data.row(rng.gen_range(0..n));
+                let moved = ops::sqdist(row, pick);
+                row.copy_from_slice(pick);
+                moved
+            });
             assignments_fresh = movement == 0.0;
             if movement < self.tol {
                 break;
@@ -221,20 +222,56 @@ impl KMeans {
         }
         // Final assignment against the converged centroids — skipped when
         // the last update moved nothing, in which case the loop's own
-        // assignment is already exact (recomputing it was the seed's
-        // double-assignment inefficiency).
+        // assignment is already exact. Either way the reported inertia is
+        // the objective of the returned labels and centroids, even when a
+        // final-iteration reseed made it worse.
         if !assignments_fresh {
             engine.assign_dense(data, &centroids, &mut labels, &mut dmin);
-            inertia = dmin.iter().sum::<f64>().min(inertia);
         }
-        Ok(KMeansModel {
+        let inertia = match weights {
+            None => dmin.iter().sum(),
+            Some(w) => dmin.iter().zip(w).map(|(&d, &w)| w * d).sum(),
+        };
+        KMeansModel {
             centroids,
             labels,
             inertia,
             n_iter,
             prune_stats: PruneStats::default(),
-        })
+        }
     }
+}
+
+/// The closed-form k-Means mean update every k-Means path runs: each
+/// cluster `c` with a positive total (member count or total weight)
+/// moves to `sums[c] · (1 / totals[c])`; `on_empty` rewrites every other
+/// row and returns its squared move. Returns the total squared movement,
+/// summed in cluster order. Fits reseed empty clusters; the federated
+/// k-Means server, which holds no raw data, keeps them.
+pub fn mean_update(
+    centroids: &mut Matrix,
+    sums: &Matrix,
+    totals: &[f64],
+    mut on_empty: impl FnMut(&mut [f64]) -> f64,
+) -> f64 {
+    let mut movement = 0.0;
+    for (c, &total) in totals.iter().enumerate() {
+        let row = centroids.row_mut(c);
+        if total <= 0.0 {
+            movement += on_empty(row);
+            continue;
+        }
+        let inv = 1.0 / total;
+        let mut delta = 0.0;
+        for (cv, &sv) in row.iter_mut().zip(sums.row(c)) {
+            let nv = sv * inv;
+            let d = nv - *cv;
+            delta += d * d;
+            *cv = nv;
+        }
+        movement += delta;
+    }
+    movement
 }
 
 /// The nearest row of `centroids` to `x` and its squared distance: the
@@ -282,43 +319,48 @@ pub fn nearest_assignments_with(
     (labels, dmin)
 }
 
-/// Per-cluster coordinate sums (`k x m`) and member counts, accumulated
-/// in parallel as fixed-size chunk partials merged in ascending chunk
+/// Per-cluster coordinate sums (`k x m`) and totals: member counts, or
+/// with `weights` the sums `Σ wᵢ xᵢ` and total weights. Accumulated in
+/// parallel as fixed-size chunk partials merged in ascending chunk
 /// order. The geometry ([`UPDATE_CHUNK`]) never depends on the thread
 /// budget, so the summation order — hence the result, bitwise — is the
 /// same for every `ExecCtx`; inputs within one chunk accumulate in plain
-/// point order exactly like the serial seed code.
+/// point order.
 pub(crate) fn cluster_sums(
     data: &Matrix,
+    weights: Option<&[f64]>,
     labels: &[usize],
     k: usize,
     exec: &ExecCtx,
-) -> (Matrix, Vec<usize>) {
-    let m = data.ncols();
-    let n = data.nrows();
+) -> (Matrix, Vec<f64>) {
+    let zeros = || (Matrix::zeros(k, data.ncols()), vec![0.0f64; k]);
     let partials = parallel::reduce_chunks(
         exec,
-        n,
+        data.nrows(),
         UPDATE_CHUNK,
-        || (Matrix::zeros(k, m), vec![0usize; k]),
-        |(sums, counts), start, end| {
-            for (off, &l) in labels[start..end].iter().enumerate() {
-                ops::add_assign(sums.row_mut(l), data.row(start + off));
-                counts[l] += 1;
+        zeros,
+        |(sums, totals), start, end| {
+            for (i, &l) in (start..end).zip(&labels[start..end]) {
+                match weights {
+                    None => {
+                        ops::add_assign(sums.row_mut(l), data.row(i));
+                        totals[l] += 1.0;
+                    }
+                    Some(w) => {
+                        ops::axpy(sums.row_mut(l), w[i], data.row(i));
+                        totals[l] += w[i];
+                    }
+                }
             }
         },
     );
     let mut iter = partials.into_iter();
-    let (mut sums, mut counts) = iter
-        .next()
-        .unwrap_or_else(|| (Matrix::zeros(k, m), vec![0usize; k]));
-    for (psums, pcounts) in iter {
+    let (mut sums, mut totals) = iter.next().unwrap_or_else(zeros);
+    for (psums, ptotals) in iter {
         ops::add_assign(sums.as_mut_slice(), psums.as_slice());
-        for (c, p) in counts.iter_mut().zip(pcounts) {
-            *c += p;
-        }
+        ops::add_assign(&mut totals, &ptotals);
     }
-    (sums, counts)
+    (sums, totals)
 }
 
 /// Samples `k` distinct rows uniformly at random.
@@ -339,31 +381,35 @@ pub(crate) fn sample_rows(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     data.select_rows(&indices)
 }
 
-/// k-means++ D²-weighted seeding.
-pub(crate) fn plus_plus_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+/// k-means++ D²-weighted seeding (Arthur & Vassilvitskii 2007). The
+/// first centroid is a uniform draw, each later one a draw ∝ `D²(xᵢ)`;
+/// with `weights`, the draws are ∝ `wᵢ` and ∝ `wᵢ·D²(xᵢ)`.
+pub(crate) fn plus_plus_init(
+    data: &Matrix,
+    weights: Option<&[f64]>,
+    k: usize,
+    rng: &mut StdRng,
+) -> Matrix {
     let n = data.nrows();
     let mut centroids = Matrix::zeros(k, data.ncols());
-    let first = rng.gen_range(0..n);
+    let first = match weights {
+        None => rng.gen_range(0..n),
+        Some(w) => sample_weighted_index(w, rng),
+    };
     centroids.row_mut(0).copy_from_slice(data.row(first));
     let mut d2: Vec<f64> = data
         .rows_iter()
         .map(|x| ops::sqdist(x, centroids.row(0)))
         .collect();
+    let mut masses = Vec::new();
     for c in 1..k {
-        let total: f64 = d2.iter().sum();
-        let pick = if total > 0.0 {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = n - 1;
-            for (i, &w) in d2.iter().enumerate() {
-                if target < w {
-                    chosen = i;
-                    break;
-                }
-                target -= w;
+        let pick = match weights {
+            None => sample_weighted_index(&d2, rng),
+            Some(w) => {
+                masses.clear();
+                masses.extend(d2.iter().zip(w).map(|(&d, &w)| w * d));
+                sample_weighted_index(&masses, rng)
             }
-            chosen
-        } else {
-            rng.gen_range(0..n)
         };
         centroids.row_mut(c).copy_from_slice(data.row(pick));
         // Maintain the running min-distance array.
@@ -375,6 +421,24 @@ pub(crate) fn plus_plus_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matri
         }
     }
     centroids
+}
+
+/// Draws an index with probability proportional to `masses`, walking
+/// them in index order (uniform fallback when the total mass is zero).
+fn sample_weighted_index(masses: &[f64], rng: &mut StdRng) -> usize {
+    let total: f64 = masses.iter().sum();
+    if total > 0.0 {
+        let mut target = rng.gen_range(0.0..total);
+        for (i, &w) in masses.iter().enumerate() {
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+        masses.len() - 1
+    } else {
+        rng.gen_range(0..masses.len())
+    }
 }
 
 pub(crate) fn validate_input(data: &Matrix, required_points: usize) -> Result<()> {
@@ -523,10 +587,10 @@ mod tests {
         let n = UPDATE_CHUNK + 1234;
         let data = Matrix::from_fn(n, 3, |i, j| ((i * 7 + j) % 13) as f64 * 0.37);
         let labels: Vec<usize> = (0..n).map(|i| i % 5).collect();
-        let (ref_sums, ref_counts) = cluster_sums(&data, &labels, 5, &ExecCtx::serial());
-        assert_eq!(ref_counts.iter().sum::<usize>(), n);
+        let (ref_sums, ref_counts) = cluster_sums(&data, None, &labels, 5, &ExecCtx::serial());
+        assert_eq!(ref_counts.iter().sum::<f64>(), n as f64);
         for threads in [2usize, 4, 8] {
-            let (sums, counts) = cluster_sums(&data, &labels, 5, &ExecCtx::threaded(threads));
+            let (sums, counts) = cluster_sums(&data, None, &labels, 5, &ExecCtx::threaded(threads));
             assert_eq!(sums, ref_sums, "threads={threads}");
             assert_eq!(counts, ref_counts, "threads={threads}");
         }
@@ -585,7 +649,7 @@ mod tests {
     fn plus_plus_spreads_seeds() {
         let data = two_blobs();
         let mut rng = StdRng::seed_from_u64(11);
-        let seeds = plus_plus_init(&data, 2, &mut rng);
+        let seeds = plus_plus_init(&data, None, 2, &mut rng);
         // The two seeds must come from different blobs.
         let d = ops::sqdist(seeds.row(0), seeds.row(1));
         assert!(d > 50.0, "seeds too close: {d}");

@@ -410,23 +410,10 @@ impl KrKMeans {
                 let mean = data.col_means();
                 let mut sets = Vec::with_capacity(self.hs.len());
                 for (l, &h) in self.hs.iter().enumerate() {
-                    let mut set = crate::kmeans::plus_plus_init(data, h.min(data.nrows()), rng);
+                    let mut set =
+                        crate::kmeans::plus_plus_init(data, None, h.min(data.nrows()), rng);
                     if l > 0 {
-                        for j in 0..set.nrows() {
-                            let row = set.row_mut(j);
-                            for (v, &g) in row.iter_mut().zip(mean.iter()) {
-                                match self.aggregator {
-                                    Aggregator::Sum => *v -= g,
-                                    Aggregator::Product => {
-                                        if g.abs() > 1e-9 {
-                                            *v /= g;
-                                        } else {
-                                            *v = 1.0;
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        anchor_to_mean(&mut set, &mean, self.aggregator);
                     }
                     sets.push(set);
                 }
@@ -451,6 +438,28 @@ impl KrKMeans {
             }
             KrVariant::MemoryEfficient => {
                 engine.assign_otf(data, sets, indexer, self.aggregator, labels, dmin);
+            }
+        }
+    }
+}
+
+/// Turns seeded data points into protocentroids anchored at the data
+/// mean: deviations `x − mean` under Sum, ratios `x / mean` under
+/// Product (1 where a mean coordinate is within 1e-9 of zero).
+/// [`KrInit::KrPlusPlus`] and the federated KR-FkM bootstrap (with the
+/// global mean) apply it to every set after the first.
+pub fn anchor_to_mean(set: &mut Matrix, mean: &[f64], aggregator: Aggregator) {
+    for j in 0..set.nrows() {
+        for (v, &g) in set.row_mut(j).iter_mut().zip(mean) {
+            match aggregator {
+                Aggregator::Sum => *v -= g,
+                Aggregator::Product => {
+                    if g.abs() > 1e-9 {
+                        *v /= g;
+                    } else {
+                        *v = 1.0;
+                    }
+                }
             }
         }
     }

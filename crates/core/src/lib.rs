@@ -6,9 +6,9 @@
 //! * [`aggregator`] — the elementwise `⊕ ∈ {+, ×}` aggregators.
 //! * [`operator`] — Khatri-Rao operators over `p` protocentroid sets and
 //!   the mixed-radix centroid indexer (`i ↔ (j₁, …, j_p)`).
-//! * [`kmeans`] — the standard k-Means baseline (Lloyd + k-means++),
-//!   implemented with the same kernels as the KR variant for fair
-//!   scalability comparisons (paper Appendix B).
+//! * [`kmeans`] — the standard k-Means baseline (Lloyd + k-means++), one
+//!   core for plain, weighted and federated fits, on the KR variant's
+//!   kernels for fair scalability comparisons (paper Appendix B).
 //! * [`kr_kmeans`] — **Khatri-Rao-k-Means** (Algorithm 1) with
 //!   closed-form protocentroid updates (Proposition 6.1), arbitrary `p`,
 //!   sum/product aggregators, memory- and time-efficient variants.

@@ -8,7 +8,8 @@
 //! model's inertia equals the scorer's bitwise.
 
 use kr_core::aggregator::Aggregator;
-use kr_core::kmeans::KMeans;
+use kr_core::baselines::{RkMeans, WeightedKMeans};
+use kr_core::kmeans::{nearest_centroid, KMeans};
 use kr_core::kr_kmeans::{KrKMeans, KrVariant};
 use kr_datasets::synthetic::blobs;
 use kr_linalg::Matrix;
@@ -41,12 +42,38 @@ fn kmeans_fit_is_translation_invariant() {
 }
 
 /// `model.inertia` of a `KMeans(9)` fit, a KR-+ 3+3 grid fit (through
-/// the factored filter) and a KR-x 3+3 on-the-fly fit (through the
-/// tuple sweep) equals `kr_metrics::inertia` of its centroids bitwise.
+/// the factored filter), a KR-x 3+3 on-the-fly fit (through the tuple
+/// sweep) and an `RkMeans(9)` fit equals `kr_metrics::inertia` of its
+/// centroids bitwise, and a `WeightedKMeans(9)` fit's equals
+/// `Σ wᵢ · nearest_centroid` distance summed in point order: every fit
+/// reports the objective of the model it returns.
 #[test]
 fn fitted_inertia_equals_the_scorer_bitwise() {
     for seed in 0..10 {
         let data = blobs(600, 6, 9, 0.7, seed).data;
+        let weights: Vec<f64> = (0..data.nrows()).map(|i| 0.25 + (i % 7) as f64).collect();
+        let weighted = WeightedKMeans::new(9)
+            .with_n_init(3)
+            .with_seed(seed)
+            .fit(&data, &weights)
+            .unwrap();
+        let scored: f64 = data
+            .rows_iter()
+            .zip(&weights)
+            .map(|(x, &w)| w * nearest_centroid(x, &weighted.centroids).1)
+            .sum();
+        assert_eq!(
+            weighted.inertia.to_bits(),
+            scored.to_bits(),
+            "seed {seed} WeightedKMeans: inertia {} but scores {scored}",
+            weighted.inertia
+        );
+        let rk = RkMeans::new(9)
+            .with_bins(16)
+            .with_n_init(3)
+            .with_seed(seed)
+            .fit(&data)
+            .unwrap();
         let km = KMeans::new(9)
             .with_n_init(3)
             .with_seed(seed)
@@ -70,6 +97,7 @@ fn fitted_inertia_equals_the_scorer_bitwise() {
             ("KMeans", km.inertia, km.centroids),
             ("KR-+ grid", grid.inertia, grid.centroids()),
             ("KR-x on the fly", otf.inertia, otf.centroids()),
+            ("RkMeans", rk.inertia, rk.centroids),
         ] {
             let scored = kr_metrics::inertia(&data, &centroids);
             assert_eq!(

@@ -29,7 +29,7 @@
 //! bitwise identical.
 
 use kr_core::aggregator::Aggregator;
-use kr_core::kmeans::nearest_centroid;
+use kr_core::kmeans::{mean_update, nearest_centroid};
 use kr_core::kr_kmeans::prop61_update_from_stats;
 use kr_core::operator::khatri_rao;
 use kr_core::stats::SuffStats;
@@ -314,22 +314,15 @@ impl ServerState {
     }
 
     /// Applies one round's aggregated statistics: the exact mean update
-    /// for FkM (clusters that captured no points keep their stale
-    /// centroid — the server holds no raw data to reseed from), or the
-    /// Proposition 6.1 closed forms for KR-FkM.
+    /// for FkM ([`mean_update`], the one `KMeans` runs; clusters that
+    /// captured no points keep their stale centroid — the server holds
+    /// no raw data to reseed from), or the Proposition 6.1 closed forms
+    /// for KR-FkM.
     pub fn apply_stats(&mut self, stats: &SuffStats) {
         match self {
             ServerState::Fkm { centroids } => {
-                for (c, &count) in stats.counts.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    let inv = 1.0 / count as f64;
-                    let src = stats.sums.row(c);
-                    for (dst, &s) in centroids.row_mut(c).iter_mut().zip(src) {
-                        *dst = s * inv;
-                    }
-                }
+                let counts: Vec<f64> = stats.counts.iter().map(|&c| c as f64).collect();
+                mean_update(centroids, &stats.sums, &counts, |_| 0.0);
             }
             ServerState::KrFkm { aggregator, sets } => {
                 prop61_update_from_stats(&stats.sums, &stats.counts_usize(), sets, *aggregator);
@@ -413,6 +406,32 @@ mod tests {
         };
         assert_eq!(centroids.row(0), &[1.0, 2.0]);
         assert_eq!(centroids.row(1), &[5.0, 5.0], "empty cluster kept");
+    }
+
+    #[test]
+    fn fkm_round_equals_one_kmeans_iteration_bitwise() {
+        // One FkM round from c0 runs `KMeans`'s mean update on the same
+        // per-cluster sums: below `UPDATE_CHUNK` (8192 points) a fit sums
+        // each cluster in point order, as the client does.
+        let data = kr_datasets::synthetic::blobs(600, 3, 5, 0.5, 11).data;
+        let c0 = data.select_rows(&[0, 150, 300, 450, 599]);
+        let local = compute_local_stats(&data, &c0, 0, &ExecCtx::serial());
+        assert!(
+            local.stats.counts.iter().all(|&c| c > 0),
+            "no empty cluster"
+        );
+        let mut state = ServerState::Fkm {
+            centroids: c0.clone(),
+        };
+        state.apply_stats(&local.stats);
+        let km = kr_core::KMeans::new(5)
+            .with_init(kr_core::kmeans::KMeansInit::FromCentroids(c0))
+            .with_n_init(1)
+            .with_max_iter(1)
+            .fit(&data)
+            .unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&state.materialize()), bits(&km.centroids));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::transport::{classify, for_each_connection, recv_expected, Connection,
 use crate::wire::FrameInfo;
 use crate::{FederatedModel, RoundStats};
 use kr_core::aggregator::Aggregator;
+use kr_core::kr_kmeans::anchor_to_mean;
 use kr_core::operator::checked_grid_size;
 use kr_core::stats::SuffStats;
 use kr_core::{CoreError, Result};
@@ -167,7 +168,7 @@ impl FederatedServer {
                 for (l, &h) in hs.iter().enumerate() {
                     let mut set = driver.dsq_sample(h, &mut rng)?;
                     if l > 0 {
-                        anchor_deviations(&mut set, &mean, *aggregator);
+                        anchor_to_mean(&mut set, &mean, *aggregator);
                     }
                     sets.push(set);
                 }
@@ -241,26 +242,6 @@ impl FederatedServer {
             history,
             wire: driver.wire,
         })
-    }
-}
-
-/// Converts a sampled set to deviations from the global mean (the
-/// anchoring step of the KR-FkM bootstrap).
-fn anchor_deviations(set: &mut Matrix, mean: &[f64], aggregator: Aggregator) {
-    for j in 0..set.nrows() {
-        let row = set.row_mut(j);
-        for (v, &g) in row.iter_mut().zip(mean.iter()) {
-            match aggregator {
-                Aggregator::Sum => *v -= g,
-                Aggregator::Product => {
-                    if g.abs() > 1e-9 {
-                        *v /= g;
-                    } else {
-                        *v = 1.0;
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -5,7 +5,9 @@
 //! ```
 //!
 //! Exits non-zero (with the offending line) if any line fails to parse,
-//! if the trace is empty, or if span enter/exit events do not pair up.
+//! if the `{"dropped":N}` trailer is missing (the trace was cut short),
+//! if the trace is empty, or if a span id is reused or exits under
+//! another name. It prints the drop count; drops do not fail the check.
 //! CI runs this over a trace captured from the `streaming` example.
 
 use std::collections::BTreeMap;
@@ -67,10 +69,11 @@ fn main() -> ExitCode {
 
     println!(
         "schema_check: {path}: OK — {} events, {} names, {closed} closed spans \
-         ({} unclosed, {orphan_exits} orphan exits)",
+         ({} unclosed, {orphan_exits} orphan exits), {} dropped",
         snapshot.len(),
         snapshot.names().len(),
         open.len(),
+        snapshot.dropped,
     );
     ExitCode::SUCCESS
 }

@@ -12,6 +12,10 @@
 //! back to an equal [`Event`] (floats use Rust's shortest round-trip
 //! formatting; non-finite gauge values serialize as `null` and parse
 //! back as NaN, compared by bit pattern).
+//!
+//! A document ([`Snapshot::to_jsonl`]) ends with the trailer line
+//! `{"dropped":N}`, the events the rings lost to overflow; a document
+//! without it was cut short, and [`Snapshot::parse_jsonl`] rejects it.
 
 use std::fmt;
 
@@ -248,29 +252,47 @@ impl Snapshot {
         set.into_iter().map(str::to_string).collect()
     }
 
-    /// Serializes every event as one JSONL line (see [`write_line`]).
+    /// Serializes every event as one JSONL line (see [`write_line`]),
+    /// then the trailer line `{"dropped":N}`.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
             write_line(e, &mut out);
             out.push('\n');
         }
+        out.push_str(&format!("{{\"dropped\":{}}}\n", self.dropped));
         out
     }
 
-    /// Parses a JSONL document back into a snapshot (empty lines are
-    /// skipped; the drop count is not on the wire and parses as 0).
+    /// Parses a JSONL document back into a snapshot: event lines, then
+    /// the `{"dropped":N}` trailer, whose count becomes
+    /// [`Snapshot::dropped`]. Empty lines are skipped. A missing trailer,
+    /// or a line after it, is an error, so a trace cut at a line
+    /// boundary never parses as a shorter complete one.
     pub fn parse_jsonl(text: &str) -> Result<Snapshot, ParseError> {
-        let mut events = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
+        let (mut events, mut dropped) = (Vec::new(), None);
+        for (i, line) in text.lines().map(str::trim).enumerate() {
+            if line.is_empty() {
                 continue;
             }
-            events.push(parse_line(line).map_err(|e| ParseError {
-                msg: format!("line {}: {}", i + 1, e.msg),
-            })?);
+            let err = |msg: &str| ParseError {
+                msg: format!("line {}: {msg}", i + 1),
+            };
+            if dropped.is_some() {
+                return Err(err("line after the `dropped` trailer"));
+            }
+            match line.strip_prefix("{\"dropped\":") {
+                Some(rest) => {
+                    let count = rest.strip_suffix('}').and_then(|n| n.parse().ok());
+                    dropped = Some(count.ok_or_else(|| err("bad `dropped` trailer"))?);
+                }
+                None => events.push(parse_line(line).map_err(|e| err(&e.msg))?),
+            }
         }
-        Ok(Snapshot { events, dropped: 0 })
+        let dropped = dropped.ok_or_else(|| ParseError {
+            msg: "missing the `dropped` trailer line (truncated trace?)".into(),
+        })?;
+        Ok(Snapshot { events, dropped })
     }
 }
 
@@ -647,7 +669,7 @@ mod tests {
                 mk(EventKind::SpanExit, "s", EventValue::Int(99)),
                 mk(EventKind::Gauge, "g", EventValue::Float(0.5)),
             ],
-            dropped: 0,
+            dropped: 3,
         };
         assert_eq!(snap.counter_total("a"), 5);
         assert_eq!(snap.counter_total("b"), 10);
@@ -657,6 +679,22 @@ mod tests {
         assert_eq!(snap.gauge_values("g"), vec![0.5]);
         assert_eq!(snap.names(), vec!["a", "b", "g", "h", "s"]);
         let parsed = Snapshot::parse_jsonl(&snap.to_jsonl()).unwrap();
-        assert_eq!(parsed.events, snap.events);
+        assert_eq!(parsed, snap);
+    }
+
+    #[test]
+    fn documents_need_exactly_one_final_trailer() {
+        let line =
+            r#"{"ts":1,"span":0,"kind":"counter","name":"c","value":1,"worker":0,"labels":{}}"#;
+        let parsed = Snapshot::parse_jsonl(&format!("{line}\n{{\"dropped\":7}}\n")).unwrap();
+        assert_eq!((parsed.len(), parsed.dropped), (1, 7));
+        for bad in [
+            format!("{line}\n"),
+            format!("{{\"dropped\":7}}\n{line}\n"),
+            format!("{line}\n{{\"dropped\":7}}\n{{\"dropped\":7}}\n"),
+            format!("{line}\n{{\"dropped\":-1}}\n"),
+        ] {
+            assert!(Snapshot::parse_jsonl(&bad).is_err(), "accepted: {bad}");
+        }
     }
 }

@@ -96,12 +96,12 @@ proptest! {
         let parsed = Snapshot::parse_jsonl(&text)
             .map_err(|e| TestCaseError::fail(format!("parse failed: {e}\n{text}")))?;
         prop_assert_eq!(&parsed.events, &snapshot.events);
-        // `dropped` is recorder state, not wire state: it resets on
-        // parse rather than round-tripping.
-        prop_assert_eq!(parsed.dropped, 0);
-        // Serialization is canonical: one line per event, and
-        // re-serializing the parse reproduces the text exactly.
-        prop_assert_eq!(text.lines().count(), snapshot.events.len());
+        // The drop count rides in the trailer line and round-trips.
+        prop_assert_eq!(parsed.dropped, snapshot.dropped);
+        // Serialization is canonical: one line per event plus the
+        // trailer, and re-serializing the parse reproduces the text
+        // exactly.
+        prop_assert_eq!(text.lines().count(), snapshot.events.len() + 1);
         prop_assert_eq!(parsed.to_jsonl(), text);
     }
 
@@ -110,10 +110,10 @@ proptest! {
         events in vec(event_strategy(), 1..2),
         flip in 0..997usize,
     ) {
-        // Tearing a line mid-write must yield a parse error, never a
-        // silently different event. (Truncation at a *line boundary*
-        // is undetectable by design — JSONL has no trailer — so the
-        // cut here always lands strictly inside the line.)
+        // Tearing a document mid-write must yield a parse error, never a
+        // silently different trace. The cut lands anywhere strictly
+        // inside the text, line boundaries included: there the trailer
+        // is missing or torn.
         let snapshot = Snapshot { events, dropped: 0 };
         let text = snapshot.to_jsonl();
         let line = text.trim_end();
