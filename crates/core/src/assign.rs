@@ -54,6 +54,18 @@
 //! Pruning is on unless the context's [`kr_linalg::PruneMode`] (default
 //! from `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
 //!
+//! A federated client keeps the same bound for its shard from one round
+//! to the next in [`ResidentBounds`]: 8 bytes per point (a `u32` label
+//! and an `f32` lower bound rounded toward zero), against the engine's
+//! 24-byte `[label, dmin, lower]` f64 rows plus cached norms, a `k × m`
+//! snapshot and arena-held buffers. Both call one Hamerly step. The
+//! client does not hold an engine because its bound state lives across
+//! rounds in memory the federation pays for on every shard: it keeps no
+//! per-point distance (it recomputes the one to the label when it sums
+//! its statistics), no norms (one data maximum feeds the error term),
+//! and snapshots the broadcast summary, `(Σ h_l)·m` floats for KR-FkM,
+//! instead of the grid.
+//!
 //! ### Factored filter
 //!
 //! A KR-+ centroid is `μ_c = θ_1^{c_1} + … + θ_p^{c_p}`, so
@@ -673,12 +685,9 @@ impl AssignEngine {
                     let i = start + off;
                     let x = data.row(i);
                     let a = row[0] as usize;
-                    let d_a = ops::sqdist(x, centroids.row(a));
+                    let (d_a, certified) = hamerly_gate(x, centroids, a, row[2], delta_max, err);
                     comp += 1;
-                    let l = decay_lower(row[2], delta_max);
-                    if certified_floor(l, err) > d_a {
-                        // Every other candidate computes strictly above
-                        // d_a: the exhaustive argmin is uniquely `a`.
+                    if let Some(l) = certified {
                         row[1] = d_a;
                         row[2] = l;
                         skip += k as u64 - 1;
@@ -699,10 +708,10 @@ impl AssignEngine {
     }
 }
 
-/// One point's rescan into its Hamerly row: [`rescan_point`], or through
-/// the factored filter (whose scores read the squared norm `xn`) when
-/// the grid has one. Returns the exact evaluations and the filter's
-/// skips.
+/// One point's rescan into its `[label, dmin, lower]` Hamerly row:
+/// [`scan_point`] with the lower bound from the runner-up, or through the
+/// factored filter (whose scores read the squared norm `xn`) when the
+/// grid has one. Returns the exact evaluations and the filter's skips.
 fn rescan(
     row: &mut [f64],
     x: &[f64],
@@ -712,24 +721,46 @@ fn rescan(
     known: Option<(usize, f64)>,
     filter: Option<(&Factored, &mut FilterBufs)>,
 ) -> (u64, u64) {
-    match filter {
-        Some((fz, bufs)) => fz.rescan_dense(row, x, xn, centroids, known, bufs),
-        None => (rescan_point(row, x, centroids, err, known), 0),
+    if let Some((fz, bufs)) = filter {
+        return fz.rescan_dense(row, x, xn, centroids, known, bufs);
     }
+    let (best, best_d, runner, comp) = scan_point(x, centroids, known);
+    row[0] = best as f64;
+    row[1] = best_d;
+    row[2] = dist_lower(runner, err);
+    (comp, 0)
 }
 
-/// Full ascending scan of one point into its `[label, dmin, lower]`
-/// Hamerly row: the exhaustive strict-`<` argmin (lowest index on
-/// ties), its distance, and a lower bound from the runner-up. `known`
-/// is a candidate whose kernel value was already computed; its bits are
-/// reused. Returns the number of distances evaluated.
-fn rescan_point(
-    row: &mut [f64],
+/// The gate of one point's Hamerly step, shared by the engine's f64 rows
+/// and [`ResidentBounds`]' compact rows: the exact distance `d_a` to the
+/// previous label `a`, and — when `lower`, a true-distance bound on every
+/// other candidate decayed by the drift bound `delta`, certifies that
+/// every other candidate computes strictly above `d_a` — the decayed
+/// bound. Then the exhaustive argmin is uniquely `a`; otherwise the
+/// caller rescans with `d_a` known.
+fn hamerly_gate(
     x: &[f64],
     centroids: &Matrix,
+    a: usize,
+    lower: f64,
+    delta: f64,
     err: f64,
+) -> (f64, Option<f64>) {
+    let d_a = ops::sqdist(x, centroids.row(a));
+    let l = decay_lower(lower, delta);
+    (d_a, (certified_floor(l, err) > d_a).then_some(l))
+}
+
+/// Full ascending scan of one point: the exhaustive strict-`<` argmin
+/// (lowest index on ties, as [`nearest_centroid`] picks it), its
+/// distance, and the runner-up's computed value. `known` is a candidate
+/// whose kernel value was already computed; its bits are reused. Returns
+/// `(label, distance, runner-up, distances evaluated)`.
+fn scan_point(
+    x: &[f64],
+    centroids: &Matrix,
     known: Option<(usize, f64)>,
-) -> u64 {
+) -> (usize, f64, f64, u64) {
     let mut comp = 0u64;
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
@@ -750,10 +781,7 @@ fn rescan_point(
             runner = d;
         }
     }
-    row[0] = best as f64;
-    row[1] = best_d;
-    row[2] = dist_lower(runner, err);
-    comp
+    (best, best_d, runner, comp)
 }
 
 /// The smallest and second-smallest entries of `v` as a multiset (`+∞`
@@ -995,7 +1023,7 @@ impl<'a> Factored<'a> {
         }
     }
 
-    /// [`rescan_point`] through the filter, for a materialized grid.
+    /// [`scan_point`] through the filter, for a materialized grid.
     fn rescan_dense(
         &self,
         row: &mut [f64],
@@ -1562,6 +1590,152 @@ pub(crate) fn exhaustive_otf(
     scratch.put_f64(state);
 }
 
+/// One point's row of [`ResidentBounds`]: its label and a lower bound on
+/// the true distance to every other centroid, rounded toward zero to
+/// `f32` so it stays a bound.
+#[derive(Debug, Clone, Copy, Default)]
+struct CompactRow {
+    label: u32,
+    lower: f32,
+}
+
+/// `v` rounded toward zero to `f32`: the nearest `f32`, stepped down one
+/// ulp where it rounded up (an overflow to `+∞` steps to `f32::MAX`).
+/// Exact for `0` and `+∞`; `v` is never negative here.
+fn f32_toward_zero(v: f64) -> f32 {
+    let f = v as f32;
+    if f64::from(f) > v {
+        f32::from_bits(f.to_bits() - 1)
+    } else {
+        f
+    }
+}
+
+/// Hamerly bounds kept for one fixed dataset across calls with moving
+/// centroids — a federated client's shard from one round to the next.
+///
+/// Each point holds 8 bytes: a `u32` label and an `f32` lower bound.
+/// [`ResidentBounds::assign`] runs the engine's Hamerly step (the exact
+/// distance to the previous label, a certified whole-point skip, else the
+/// full ascending scan with runner-up) and, like
+/// [`crate::kmeans::nearest_centroid`], picks the lowest-index strict-`<`
+/// argmin, so labels are bitwise those of the exhaustive scan. It keeps
+/// no distances: a caller that needs them recomputes `ops::sqdist` to
+/// the label, the same bits for a finite point.
+#[derive(Debug)]
+pub struct ResidentBounds {
+    rows: Vec<CompactRow>,
+    /// The centroid count the rows describe (0: none yet).
+    k: usize,
+    /// Largest squared row norm of the dataset.
+    max_x_sq: f64,
+}
+
+impl ResidentBounds {
+    /// Bounds for `data`, all rescanned by the first
+    /// [`ResidentBounds::assign`].
+    pub fn new(data: &Matrix) -> Self {
+        ResidentBounds {
+            rows: vec![CompactRow::default(); data.nrows()],
+            k: 0,
+            max_x_sq: max_sq_norm(data),
+        }
+    }
+
+    /// Assigns every row of `data` (the matrix given to
+    /// [`ResidentBounds::new`]) to its nearest row of `centroids`, which
+    /// have `data`'s width, chunk-parallel on `exec`, and returns the
+    /// pass's counters.
+    ///
+    /// `drift` must bound how far (true distance) every centroid moved
+    /// since the previous call; `None` rescans every point, as do a
+    /// changed centroid count and [`PruneMode::Off`].
+    ///
+    /// # Panics
+    /// Panics on no centroid or more than 2^32.
+    pub fn assign(
+        &mut self,
+        data: &Matrix,
+        centroids: &Matrix,
+        drift: Option<f64>,
+        exec: &ExecCtx,
+    ) -> PruneStats {
+        let k = centroids.nrows();
+        assert!(
+            k >= 1 && k as u64 <= 1 << 32,
+            "u32 labels need 1 to 2^32 centroids"
+        );
+        debug_assert_eq!(data.nrows(), self.rows.len(), "new saw other data");
+        let delta = match drift {
+            Some(d) if self.k == k && exec.prune_mode() == PruneMode::On => Some(d),
+            _ => None,
+        };
+        self.k = k;
+        let err = kernel_error_bound(data.ncols(), self.max_x_sq, max_sq_norm(centroids));
+        let (computed, skipped) = (AtomicU64::new(0), AtomicU64::new(0));
+        parallel::map_rows_into(exec, &mut self.rows, 1, 1, |start, chunk| {
+            let (mut comp, mut skip) = (0u64, 0u64);
+            for (off, row) in chunk.iter_mut().enumerate() {
+                let x = data.row(start + off);
+                let known = match delta {
+                    Some(delta) => {
+                        let a = row.label as usize;
+                        let (d_a, certified) =
+                            hamerly_gate(x, centroids, a, f64::from(row.lower), delta, err);
+                        comp += 1;
+                        if let Some(l) = certified {
+                            row.lower = f32_toward_zero(l);
+                            skip += k as u64 - 1;
+                            continue;
+                        }
+                        Some((a, d_a))
+                    }
+                    None => None,
+                };
+                let (best, _, runner, c) = scan_point(x, centroids, known);
+                comp += c;
+                row.label = best as u32;
+                row.lower = f32_toward_zero(dist_lower(runner, err));
+            }
+            computed.fetch_add(comp, Ordering::Relaxed);
+            skipped.fetch_add(skip, Ordering::Relaxed);
+        });
+        PruneStats {
+            dists_computed: computed.into_inner(),
+            dists_skipped: skipped.into_inner(),
+            bound_updates: 0,
+        }
+    }
+
+    /// The label of point `i` from the last [`ResidentBounds::assign`].
+    pub fn label(&self, i: usize) -> usize {
+        self.rows[i].label as usize
+    }
+}
+
+/// The `drift` bound for [`ResidentBounds::assign`]: the largest
+/// certified true distance between centroid `c` of the previous grid,
+/// which `old(c, out)` writes into `out` (bitwise the row the previous
+/// call assigned against), and row `c` of `grid`. A NaN distance makes
+/// the bound `+∞`, which certifies nothing.
+pub fn max_drift(grid: &Matrix, mut old: impl FnMut(usize, &mut [f64])) -> f64 {
+    let mut prev = vec![0.0; grid.ncols()];
+    let mut delta = 0.0;
+    for (c, row) in grid.rows_iter().enumerate() {
+        old(c, &mut prev);
+        let d_sq = ops::sqdist(&prev, row);
+        let d = if d_sq.is_nan() {
+            f64::INFINITY
+        } else {
+            drift_upper(d_sq)
+        };
+        if d > delta {
+            delta = d;
+        }
+    }
+    delta
+}
+
 /// Persistent center–center lower bounds for streaming assignment.
 ///
 /// No library path calls this type: the mini-batch fitter assigns with
@@ -1954,6 +2128,29 @@ mod tests {
         let still = engine.take_stats();
         assert_eq!(still.dists_computed, 200);
         assert_eq!(still.dists_skipped, 200 * 3);
+    }
+
+    #[test]
+    fn resident_bounds_skip_at_zero_drift_and_rescan_when_off() {
+        let data = Matrix::from_fn(200, 3, |i, j| ((i * 3 + j) % 17) as f64);
+        let centroids = Matrix::from_fn(4, 3, |i, j| (i * 4 + j) as f64 * 1.5);
+        let on = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        let mut bounds = ResidentBounds::new(&data);
+        // The first call has no bounds to keep, whatever the drift.
+        let warm = bounds.assign(&data, &centroids, Some(0.0), &on);
+        assert_eq!(warm.dists_computed, 200 * 4);
+        let still = bounds.assign(&data, &centroids, Some(0.0), &on);
+        assert_eq!((still.dists_computed, still.dists_skipped), (200, 200 * 3));
+        for (i, x) in data.rows_iter().enumerate() {
+            assert_eq!(bounds.label(i), nearest_centroid(x, &centroids).0);
+        }
+        let off = ExecCtx::serial().with_prune_mode(PruneMode::Off);
+        let full = bounds.assign(&data, &centroids, Some(0.0), &off);
+        assert_eq!((full.dists_computed, full.dists_skipped), (200 * 4, 0));
+        // Rounding toward zero keeps every stored value a lower bound.
+        for v in [0.0, 1.0 / 3.0, 1e-46, 3.5e38, f64::MAX, f64::INFINITY] {
+            assert!(f64::from(f32_toward_zero(v)) <= v, "{v}");
+        }
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! The *state machines* are pure: [`ServerState`] turns aggregated
 //! statistics into the next summary (exact mean update for FkM, the
 //! Proposition 6.1 closed forms for KR-FkM), and [`compute_local_stats`]
-//! turns a received summary into a client's reply. Neither touches a
-//! socket, which is what makes the in-process and loopback-TCP runs
-//! bitwise identical.
+//! turns a received summary into a client's reply with the exhaustive
+//! scan — the reference the bounds-gated
+//! [`ShardClient`](crate::client::ShardClient) equals bitwise, and the
+//! evaluation scorer. Neither touches a socket, which is what makes the
+//! in-process and loopback-TCP runs bitwise identical.
 
 use kr_core::aggregator::Aggregator;
 use kr_core::kmeans::{mean_update, nearest_centroid};
@@ -86,11 +88,22 @@ impl Summary {
         }
     }
 
-    /// Number of centroids the summary expands to.
+    /// Number of centroids the summary expands to, saturating at
+    /// `usize::MAX` (sets off the wire can multiply past it).
     pub fn grid_size(&self) -> usize {
         match self {
             Summary::Centroids(c) => c.nrows(),
-            Summary::ProtoSets { sets, .. } => sets.iter().map(|s| s.nrows()).product(),
+            Summary::ProtoSets { sets, .. } => {
+                sets.iter().fold(1usize, |k, s| k.saturating_mul(s.nrows()))
+            }
+        }
+    }
+
+    /// Whether every summary parameter is finite.
+    pub fn all_finite(&self) -> bool {
+        match self {
+            Summary::Centroids(c) => c.all_finite(),
+            Summary::ProtoSets { sets, .. } => sets.iter().all(Matrix::all_finite),
         }
     }
 }
@@ -339,11 +352,13 @@ impl ServerState {
 
 // ---- client-side round computation --------------------------------------
 
-/// Computes one round's [`LocalStats`] for a shard: [`nearest_centroid`]
-/// per point (chunk-parallel on `exec`, bitwise thread-invariant),
-/// per-cluster sums/counts accumulated serially in point order, and the
-/// shard's partial inertia (the sum of best squared distances, also in
-/// point order).
+/// Computes one round's [`LocalStats`] for a shard with the exhaustive
+/// scan: [`nearest_centroid`] per point (chunk-parallel on `exec`,
+/// bitwise thread-invariant), then per-cluster sums/counts and the
+/// partial inertia summed serially in point order. This is the reference
+/// a [`ShardClient`](crate::client::ShardClient)'s bounds-gated reply
+/// equals bitwise, and the scorer behind
+/// [`global_inertia_with`](crate::global_inertia_with).
 ///
 /// A non-empty shard needs at least one centroid of its own width;
 /// [`ShardClient`](crate::client::ShardClient) rejects other broadcasts.
@@ -353,17 +368,28 @@ pub fn compute_local_stats(
     round: u32,
     exec: &ExecCtx,
 ) -> LocalStats {
-    let k = centroids.nrows();
-    let m = centroids.ncols();
-    let mut stats = SuffStats::zeros(k, m);
     let mut best: Vec<(usize, f64)> = vec![(0, 0.0); data.nrows()];
     parallel::map_rows_into(exec, &mut best, 1, 1, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
             *slot = nearest_centroid(data.row(start + off), centroids);
         }
     });
+    fold_stats(data, centroids.shape(), round, |i| best[i])
+}
+
+/// Sums one round's [`LocalStats`] over a `k x m` grid serially in point
+/// order from each point's `(label, squared distance)`: per-cluster sums
+/// and counts, and the partial inertia.
+pub(crate) fn fold_stats(
+    data: &Matrix,
+    (k, m): (usize, usize),
+    round: u32,
+    mut nearest: impl FnMut(usize) -> (usize, f64),
+) -> LocalStats {
+    let mut stats = SuffStats::zeros(k, m);
     let mut inertia = 0.0f64;
-    for (x, &(c, d)) in data.rows_iter().zip(best.iter()) {
+    for (i, x) in data.rows_iter().enumerate() {
+        let (c, d) = nearest(i);
         ops::add_assign(stats.sums.row_mut(c), x);
         stats.counts[c] += 1;
         inertia += d;

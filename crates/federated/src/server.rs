@@ -12,6 +12,14 @@
 //! client order, and per-client computation is thread-invariant — so
 //! the result is bitwise identical across transports and pool sizes.
 //!
+//! A round folds each reply into the round's aggregate as it arrives,
+//! in ascending client order ([`fold_connections`]): a reply that
+//! arrives ahead of a lower id waits for it (on a serial exec none
+//! does), masked replies are unmasked first, and only the inertia
+//! partials outlive the fold. The server's round memory is therefore
+//! one `k x m` aggregate, not one `k x m` block per client; the
+//! evaluation exchange keeps no statistics at all.
+//!
 //! Byte accounting follows the paper's Figure 10: the per-round
 //! [`RoundStats`] counters accumulate the *measured*
 //! summary-statistic bytes of the actual broadcast and upload frames
@@ -25,7 +33,9 @@
 
 use crate::mask;
 use crate::protocol::{Broadcast, Join, LocalStats, MaskSpec, Msg, RoundAck, ServerState};
-use crate::transport::{classify, for_each_connection, recv_expected, Connection, FailureKind};
+use crate::transport::{
+    classify, fold_connections, for_each_connection, recv_expected, Connection, FailureKind,
+};
 use crate::wire::FrameInfo;
 use crate::{FederatedModel, RoundStats};
 use kr_core::aggregator::Aggregator;
@@ -202,18 +212,16 @@ impl FederatedServer {
             } else {
                 Some(round as u32 - 1)
             };
-            let outcome = driver.round_exchange(broadcast, ack_round, quorum)?;
+            // The exchange merges the round's reporters into `agg` in
+            // ascending client order: absent shards contribute nothing,
+            // so the mean / Proposition 6.1 updates renormalize over the
+            // survivors.
+            let mut agg = SuffStats::zeros(state.grid_size(), m);
+            let outcome = driver.round_exchange(broadcast, ack_round, quorum, Some(&mut agg))?;
             down += outcome.stat_down;
             up += outcome.stat_up;
             if round > 0 {
                 history[round - 1].inertia = outcome.sum_inertia();
-            }
-            // Merge over the round's reporters in ascending client
-            // order: absent shards contribute nothing, so the mean /
-            // Proposition 6.1 updates renormalize over the survivors.
-            let mut agg = SuffStats::zeros(state.grid_size(), m);
-            for r in outcome.replies.iter().flatten() {
-                agg.merge(&r.stats)?;
             }
             state.apply_stats(&agg);
             history.push(RoundStats {
@@ -232,7 +240,8 @@ impl FederatedServer {
         if self.rounds > 0 {
             let eval =
                 driver.make_broadcast(self.rounds as u32, true, &state, self.resilience.mask_seed);
-            let outcome = driver.round_exchange(eval, Some(self.rounds as u32 - 1), quorum)?;
+            let outcome =
+                driver.round_exchange(eval, Some(self.rounds as u32 - 1), quorum, None)?;
             history[self.rounds - 1].inertia = outcome.sum_inertia();
         }
         driver.broadcast_ack(self.rounds as u32, true)?;
@@ -245,9 +254,8 @@ impl FederatedServer {
     }
 }
 
-/// What one connection contributed to a round exchange. Collected as
-/// `Ok` values from the per-connection workers (an `Err` there aborts
-/// the whole fan-out) and folded into a [`RoundOutcome`] afterwards.
+/// What one connection contributed to a round exchange, handed to the
+/// ordered fold in [`Driver::round_exchange`].
 struct ConnReport {
     /// The broadcast frame sent to this client, if it is still active.
     down: Option<FrameInfo>,
@@ -269,12 +277,12 @@ enum ConnResult {
 }
 
 /// One tolerant round exchange, folded over all connections in
-/// ascending client order.
+/// ascending client order. The statistics themselves went into the
+/// caller's aggregate as each reply was folded; only the inertia
+/// partials stay.
 struct RoundOutcome {
-    /// Per-client reply, `None` where the shard sat the round out.
-    /// Indexed by registration (ascending client id) order, so merging
-    /// the `Some`s in sequence preserves the determinism contract.
-    replies: Vec<Option<LocalStats>>,
+    /// Reporters' inertia partials, in ascending client order.
+    inertias: Vec<f64>,
     stat_down: usize,
     stat_up: usize,
     reporters: usize,
@@ -284,7 +292,7 @@ struct RoundOutcome {
 impl RoundOutcome {
     /// Sums reporter inertia partials in ascending client order.
     fn sum_inertia(&self) -> f64 {
-        self.replies.iter().flatten().map(|r| r.inertia).sum()
+        self.inertias.iter().copied().sum()
     }
 }
 
@@ -449,57 +457,73 @@ impl<'e, C: Connection> Driver<'e, C> {
     /// missed the previous round), collects and validates the replies,
     /// discards stale frames for closed rounds, unmasks masked uploads,
     /// and applies the strict/quorum failure policy.
+    ///
+    /// Replies are folded in ascending client order as they arrive:
+    /// each reporter's statistics are merged into `agg` (the eval-only
+    /// exchange passes `None` and keeps none) and dropped, so the round
+    /// holds one `k x m` aggregate plus only the replies that arrive
+    /// ahead of a lower id (none on a serial exec), instead of one
+    /// `k x m` block per client.
     fn round_exchange(
         &mut self,
         next: Broadcast,
         ack_round: Option<u32>,
         quorum: Option<usize>,
+        mut agg: Option<&mut SuffStats>,
     ) -> Result<RoundOutcome> {
         let round = next.round;
         let eval_only = next.eval_only;
         let deadline = self.deadline;
         let _round_span = kr_obs::span!("fed.round", "round" => round);
-        // Build each connection's downlink frame up front: inactive
-        // shards get nothing; shards that reported the previous round
-        // get the pipelined ack; shards that missed it (and everyone in
-        // round 0) get a standalone catch-up broadcast — the server
-        // won't ack a contribution it never merged.
-        let msgs: Vec<Option<Msg>> = (0..self.conns.len())
-            .map(|i| {
-                if !self.active[i] {
-                    return None;
-                }
-                Some(match ack_round {
-                    Some(ack) if !self.missed[i] => Msg::RoundAck(RoundAck {
-                        round: ack,
-                        done: false,
-                        next: Some(next.clone()),
-                    }),
-                    _ => Msg::Broadcast(next.clone()),
-                })
-            })
+        // Each connection's downlink, decided up front and built by its
+        // worker: inactive shards get nothing; shards that reported the
+        // previous round get the pipelined ack (`Some(Some(ack))`);
+        // shards that missed it (and everyone in round 0) get a
+        // standalone catch-up broadcast — the server won't ack a
+        // contribution it never merged.
+        let plans: Vec<Option<Option<u32>>> = (0..self.conns.len())
+            .map(|i| self.active[i].then_some(ack_round.filter(|_| !self.missed[i])))
             .collect();
-        let mask = next.mask;
+        let mask = &next.mask;
         let ids: Vec<u32> = self.joins.iter().map(|j| j.client_id).collect();
-        let reports = for_each_connection(self.exec, &mut self.conns, |i, conn| {
+        let mut outcome = RoundOutcome {
+            inertias: Vec::with_capacity(self.conns.len()),
+            stat_down: 0,
+            stat_up: 0,
+            reporters: 0,
+            failures: Vec::new(),
+        };
+        let mut first_err: Option<CoreError> = None;
+        let mut merge_err: Option<CoreError> = None;
+        let exec = self.exec;
+        let (wire, active, missed) = (&mut self.wire, &mut self.active, &mut self.missed);
+        let worker = |i: usize, conn: &mut C| {
             let mut report = ConnReport {
                 down: None,
                 stale_frames: 0,
                 stale_bytes: 0,
                 result: ConnResult::Skipped,
             };
-            let Some(msg) = &msgs[i] else {
-                return Ok(report);
+            let Some(plan) = plans[i] else {
+                return report;
             };
             if let Err(e) = conn.set_deadline(deadline) {
                 report.result = ConnResult::Failed(classify(&e), e);
-                return Ok(report);
+                return report;
             }
-            match conn.send(msg) {
+            let sent = conn.send(&match plan {
+                Some(ack) => Msg::RoundAck(RoundAck {
+                    round: ack,
+                    done: false,
+                    next: Some(next.clone()),
+                }),
+                None => Msg::Broadcast(next.clone()),
+            });
+            match sent {
                 Ok(info) => report.down = Some(info),
                 Err(e) => {
                     report.result = ConnResult::Failed(classify(&e), e);
-                    return Ok(report);
+                    return report;
                 }
             }
             report.result = loop {
@@ -525,7 +549,7 @@ impl<'e, C: Connection> Driver<'e, C> {
                             report.stale_bytes += info.frame_bytes;
                             continue;
                         }
-                        break match (reply, &mask) {
+                        break match (reply, mask) {
                             (Msg::LocalStats(stats), None) if stats.round == round => {
                                 ConnResult::Reported { stats, up: info }
                             }
@@ -550,27 +574,19 @@ impl<'e, C: Connection> Driver<'e, C> {
                     }
                 }
             };
-            Ok(report)
-        })?;
-        // Fold in ascending client order: wire accounting, failure
-        // bookkeeping, and the strict-vs-quorum decision.
-        let mut outcome = RoundOutcome {
-            replies: Vec::with_capacity(reports.len()),
-            stat_down: 0,
-            stat_up: 0,
-            reporters: 0,
-            failures: Vec::new(),
+            report
         };
-        let mut first_err: Option<CoreError> = None;
-        for (i, report) in reports.into_iter().enumerate() {
-            self.wire.frames_stale += report.stale_frames;
-            self.wire.frame_bytes_up += report.stale_bytes;
+        // Fold in ascending client order: wire accounting, failure
+        // bookkeeping, and the reporters' statistics.
+        let fold = |i: usize, report: ConnReport| {
+            wire.frames_stale += report.stale_frames;
+            wire.frame_bytes_up += report.stale_bytes;
             if report.stale_frames > 0 {
                 kr_obs::counter!("fed.frames_stale", report.stale_frames, "round" => round);
             }
             if let Some(info) = report.down {
-                self.wire.frames_down += 1;
-                self.wire.frame_bytes_down += info.frame_bytes;
+                wire.frames_down += 1;
+                wire.frame_bytes_down += info.frame_bytes;
                 kr_obs::counter!("fed.frames_down", 1);
                 kr_obs::counter!("fed.frame_bytes_down", info.frame_bytes);
                 if !eval_only {
@@ -578,18 +594,23 @@ impl<'e, C: Connection> Driver<'e, C> {
                 }
             }
             match report.result {
-                ConnResult::Skipped => outcome.replies.push(None),
+                ConnResult::Skipped => {}
                 ConnResult::Reported { stats, up } => {
-                    self.wire.frames_up += 1;
-                    self.wire.frame_bytes_up += up.frame_bytes;
+                    wire.frames_up += 1;
+                    wire.frame_bytes_up += up.frame_bytes;
                     kr_obs::counter!("fed.frames_up", 1);
                     kr_obs::counter!("fed.frame_bytes_up", up.frame_bytes);
                     if !eval_only {
                         outcome.stat_up += up.stat_bytes;
                     }
-                    self.missed[i] = false;
+                    missed[i] = false;
                     outcome.reporters += 1;
-                    outcome.replies.push(Some(stats));
+                    outcome.inertias.push(stats.inertia);
+                    if let Some(agg) = agg.as_deref_mut() {
+                        if let Err(e) = agg.merge(&stats.stats) {
+                            merge_err.get_or_insert(e);
+                        }
+                    }
                 }
                 ConnResult::Failed(kind, err) => {
                     match kind {
@@ -604,15 +625,15 @@ impl<'e, C: Connection> Driver<'e, C> {
                         }
                     }
                     if kind == FailureKind::Disconnected {
-                        self.active[i] = false;
+                        active[i] = false;
                     }
-                    self.missed[i] = true;
+                    missed[i] = true;
                     outcome.failures.push((ids[i], kind));
                     first_err.get_or_insert(err);
-                    outcome.replies.push(None);
                 }
             }
-        }
+        };
+        fold_connections(exec, &mut self.conns, worker, fold);
         match quorum {
             // Strict legacy contract: any failure aborts the run with
             // the first failing client's original error.
@@ -630,10 +651,15 @@ impl<'e, C: Connection> Driver<'e, C> {
                     return Err(CoreError::Transport(format!(
                         "round {round} fell below quorum: {} of {} shards reported, need {need}",
                         outcome.reporters,
-                        outcome.replies.len(),
+                        self.conns.len(),
                     )));
                 }
             }
+        }
+        // A reply of another grid shape cannot be merged: after the
+        // failure policy, as when replies were merged after the exchange.
+        if let Some(err) = merge_err {
+            return Err(err);
         }
         Ok(outcome)
     }

@@ -25,6 +25,7 @@ use crate::protocol::Msg;
 use crate::wire::FrameInfo;
 use kr_core::{CoreError, Result};
 use kr_linalg::{parallel, ExecCtx};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// One framed, blocking, bidirectional channel between the server and a
@@ -95,34 +96,69 @@ pub fn recv_expected<C: Connection>(conn: &mut C) -> Result<(Msg, FrameInfo)> {
         .ok_or_else(|| CoreError::Transport("client closed the connection mid-protocol".into()))
 }
 
-/// Runs `f` once per connection — the server's per-connection workers.
-///
-/// Jobs are scheduled on `exec`'s pool ([`kr_linalg::pool`]), so up to
-/// `exec.threads()` connections are serviced concurrently (each job may
-/// block on its client's reply without stalling the others). Results
-/// come back **indexed by connection order**, and the caller merges
-/// them in that order, which keeps every run bitwise deterministic no
-/// matter how replies interleave in wall-clock time.
+/// Runs `f` once per connection — the server's per-connection workers —
+/// and returns the results **indexed by connection order** (see
+/// [`fold_connections`]).
 pub fn for_each_connection<C, T, F>(exec: &ExecCtx, conns: &mut [C], f: F) -> Result<Vec<T>>
 where
     C: Connection,
     T: Send,
     F: Fn(usize, &mut C) -> Result<T> + Sync,
 {
-    let mut slots: Vec<(usize, &mut C, Option<Result<T>>)> = conns
-        .iter_mut()
-        .enumerate()
-        .map(|(i, c)| (i, c, None))
-        .collect();
+    let mut out = Vec::with_capacity(conns.len());
+    fold_connections(exec, conns, f, |_, r| out.push(r));
+    out.into_iter().collect()
+}
+
+/// Runs `f` once per connection and hands each result to `fold` in
+/// ascending connection order, as soon as every lower connection's
+/// result is in.
+///
+/// Jobs are scheduled on `exec`'s pool ([`kr_linalg::pool`]), so up to
+/// `exec.threads()` connections are serviced concurrently (each job may
+/// block on its client's reply without stalling the others). A result
+/// that completes ahead of a lower connection's is held until then; a
+/// serial `exec` visits the connections in order and holds none. The
+/// fold order, not the wall-clock order, is what keeps every merge
+/// bitwise deterministic no matter how replies interleave.
+pub fn fold_connections<C, T, F, G>(exec: &ExecCtx, conns: &mut [C], f: F, fold: G)
+where
+    C: Connection,
+    T: Send,
+    F: Fn(usize, &mut C) -> T + Sync,
+    G: FnMut(usize, T) + Send,
+{
+    struct Order<T, G> {
+        next: usize,
+        held: Vec<Option<T>>,
+        fold: G,
+    }
+    let order = Mutex::new(Order {
+        next: 0,
+        held: Vec::new(),
+        fold,
+    });
+    let mut slots: Vec<(usize, &mut C)> = conns.iter_mut().enumerate().collect();
     parallel::map_rows_into(exec, &mut slots, 1, 1, |_, chunk| {
-        for (i, conn, slot) in chunk.iter_mut() {
-            *slot = Some(f(*i, conn));
+        for (i, conn) in chunk.iter_mut() {
+            let value = f(*i, conn);
+            let mut guard = order.lock().unwrap_or_else(PoisonError::into_inner);
+            let o = &mut *guard;
+            if *i != o.next {
+                if o.held.len() <= *i {
+                    o.held.resize_with(*i + 1, || None);
+                }
+                o.held[*i] = Some(value);
+                continue;
+            }
+            (o.fold)(*i, value);
+            o.next += 1;
+            while let Some(v) = o.held.get_mut(o.next).and_then(Option::take) {
+                (o.fold)(o.next, v);
+                o.next += 1;
+            }
         }
     });
-    slots
-        .into_iter()
-        .map(|(_, _, r)| r.expect("every connection visited"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -221,6 +221,62 @@ fn exec_determinism_quorum_matches_clean_survivor_run_1_2_8_workers() {
 }
 
 #[test]
+fn exec_determinism_quorum_low_id_failure_matches_survivor_run() {
+    // Client 0 holds no rows, so it shapes neither the bootstrap nor any
+    // merge, and loses its reply every round: at 8 workers the higher
+    // ids' replies can arrive first and wait in the server's ordered
+    // fold until client 0's failure is in. The run must equal a clean
+    // run over the survivors alone, pooled and serial.
+    let survivors = make_clients(4, 44);
+    let clients: Vec<Client> = std::iter::once(Client {
+        data: Matrix::zeros(0, 3),
+    })
+    .chain(survivors.iter().cloned())
+    .collect();
+    let rounds = 5;
+    let plan = Arc::new((0..=rounds as u32).fold(FaultPlan::new(), |p, r| {
+        p.with(0, r, FaultAction::DropReply)
+    }));
+    let server = kr_server(rounds, 17).with_resilience(quorum(1));
+    let exec = ExecCtx::threaded(9).with_pool(Arc::new(ThreadPool::new(8)));
+    let clean = kr_server(rounds, 17)
+        .drive(connect_shards(&survivors, &exec), &exec)
+        .unwrap();
+    let serial = kr_server(rounds, 17)
+        .drive(
+            connect_shards(&survivors, &ExecCtx::serial()),
+            &ExecCtx::serial(),
+        )
+        .unwrap();
+    assert_history_equal(&serial, &clean, "clean survivor run, serial vs 8 workers");
+    for rep in 0..3 {
+        let faulted = run_local(&server, &clients, &plan, &exec).unwrap();
+        let what = format!("client 0 failing, repetition {rep}");
+        assert_eq!(faulted.history.len(), rounds, "{what}");
+        assert_eq!(faulted.centroids.shape(), clean.centroids.shape(), "{what}");
+        for (x, y) in faulted
+            .centroids
+            .as_slice()
+            .iter()
+            .zip(clean.centroids.as_slice())
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: centroid bits differ");
+        }
+        for (f, c) in faulted.history.iter().zip(clean.history.iter()) {
+            assert_eq!(
+                f.inertia.to_bits(),
+                c.inertia.to_bits(),
+                "{what}: round {}",
+                f.round
+            );
+            assert_eq!(f.uplink_bytes, c.uplink_bytes, "{what}: round {}", f.round);
+            assert_eq!(f.reporters, survivors.len(), "{what}: round {}", f.round);
+            assert_eq!(f.failures, vec![(0, FailureKind::Timeout)], "{what}");
+        }
+    }
+}
+
+#[test]
 fn exec_determinism_masked_run_matches_unmasked_bitwise() {
     // Green path: pairwise masking must be invisible in the results —
     // centroids, accounted bytes, inertia bits.

@@ -311,8 +311,40 @@ fn faulted_quorum_federated_round_is_bitwise_invisible() {
 
         assert_valid_trace(
             &snapshot,
-            &["fed.round", "fed.frames_up", "fed.fail_timeout"],
+            &[
+                "fed.round",
+                "fed.frames_up",
+                "fed.fail_timeout",
+                "fed.client",
+                "client.dists_computed",
+                "client.dists_skipped",
+            ],
         );
+        // Drops leave every client active, so each answers the 6 rounds
+        // and the evaluation exchange: one `fed.client` span and one
+        // add to each client counter per answered broadcast. Pruning is
+        // off, so every answer computes rows × grid distances.
+        let answered = 5 * 7;
+        let adds = |name: &str| {
+            snapshot
+                .events
+                .iter()
+                .filter(|e| e.kind == obs::EventKind::Counter && e.name == name)
+                .count()
+        };
+        assert_eq!(
+            snapshot.span_durations("fed.client").len(),
+            answered,
+            "workers={workers}: client spans"
+        );
+        assert_eq!(adds("client.dists_computed"), answered, "workers={workers}");
+        assert_eq!(adds("client.dists_skipped"), answered, "workers={workers}");
+        assert_eq!(
+            snapshot.counter_total("client.dists_computed"),
+            (n * 6 * 7) as u64,
+            "workers={workers}: client distances"
+        );
+        assert_eq!(snapshot.counter_total("client.dists_skipped"), 0);
         // The seeded plan drops frames, so the trace must classify
         // failures, and the counter totals must equal the run's own
         // failure bookkeeping.
