@@ -49,22 +49,28 @@
 //! their O(n·k) upkeep cost more than those evaluations saved at every
 //! shape measured, so they are not kept.
 //!
-//! Memory-efficient (on-the-fly) Khatri-Rao assignment uses the same
-//! single bound, with per-factor drift combined per the aggregator.
-//! Pruning is on unless the context's [`kr_linalg::PruneMode`] (default
-//! from `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
+//! One chunk-parallel pass runs this step over two row stores. Every row
+//! holds a `u32` label and an `f32` lower bound rounded toward zero, so
+//! it stays a bound. A federated client keeps these bare 8-byte rows for
+//! its shard from one round to the next in [`ResidentBounds`]; the
+//! engine's dense and grid sessions keep 16-byte rows that add the exact
+//! distance to the label, because [`AssignEngine::assign_dense`] and
+//! [`AssignEngine::assign_grid`] return it. A point whose decayed bound
+//! certifies its label keeps it. Any other point, and every point of a
+//! first pass, rescans: through the factored filter below when the grid
+//! has one, else through the full ascending scan. The client holds no
+//! engine because its rows live across rounds in memory the federation
+//! pays for on every shard: it keeps no distance (it recomputes the one
+//! to the label when it sums its statistics), no norms (one data maximum
+//! feeds the error term), and snapshots the broadcast summary,
+//! `(Σ h_l)·m` floats for KR-FkM, instead of the grid.
 //!
-//! A federated client keeps the same bound for its shard from one round
-//! to the next in [`ResidentBounds`]: 8 bytes per point (a `u32` label
-//! and an `f32` lower bound rounded toward zero), against the engine's
-//! 24-byte `[label, dmin, lower]` f64 rows plus cached norms, a `k × m`
-//! snapshot and arena-held buffers. Both call one Hamerly step. The
-//! client does not hold an engine because its bound state lives across
-//! rounds in memory the federation pays for on every shard: it keeps no
-//! per-point distance (it recomputes the one to the label when it sums
-//! its statistics), no norms (one data maximum feeds the error term),
-//! and snapshots the broadcast summary, `(Σ h_l)·m` floats for KR-FkM,
-//! instead of the grid.
+//! Memory-efficient (on-the-fly) Khatri-Rao assignment uses the same
+//! single bound, with per-factor drift combined per the aggregator, in
+//! 8-slot f64 rows of its own that also carry the sweep's running best
+//! and runner-up. Pruning is on unless the context's
+//! [`kr_linalg::PruneMode`] (default from `KR_PRUNE`) is `Off`, which
+//! runs the exhaustive reference scans.
 //!
 //! ### Factored filter
 //!
@@ -113,16 +119,23 @@
 //! per-candidate norm gate `d(x, c) ≥ |‖x‖ − ‖c‖|`, so the per-point norm
 //! bounds it reads are built on its first pass, not for every fit.
 //!
-//! All bound state lives in the [`kr_linalg::Scratch`] arena of the
-//! engine's `ExecCtx`, so steady-state Lloyd iterations stay O(1)
-//! allocations, and one engine serves every restart of a fit.
+//! The engine's cached norms, its `k × m` drift snapshot and the
+//! on-the-fly rows live in the [`kr_linalg::Scratch`] arena of its
+//! `ExecCtx`, so steady-state Lloyd iterations stay O(1) allocations,
+//! one engine serves every restart of a fit, and the next fit on the same
+//! context (the coreset tree runs many small ones) reuses them instead of
+//! allocating. The arena pools only `f64` and `usize` buffers, so the
+//! dense rows are the engine's own: one vector per session, freed with
+//! the engine.
+//!
 //! [`PruneStats`] counts exact evaluations, certified skips, and bound
 //! refreshes for the benches (telemetry only — counters may differ
-//! across thread counts even though results cannot). With the `obs`
-//! feature the same counters are mirrored onto the trace schema as
-//! `assign.dists_computed` / `assign.dists_skipped` /
-//! `assign.bound_updates`, and every assignment pass opens an
-//! `assign.pass` span labelled with `k`.
+//! across thread counts even though results cannot). Chunks add them
+//! into atomics; with the `obs` feature each `assign_*` call then emits
+//! its non-zero totals once, as `assign.dists_computed` /
+//! `assign.dists_skipped` / `assign.bound_updates`, inside the
+//! `assign.pass` span (labelled with `k`) the call opens. A trace's
+//! counter totals therefore equal the engine's `PruneStats`.
 
 use crate::aggregator::Aggregator;
 use crate::kmeans::nearest_centroid;
@@ -180,34 +193,24 @@ pub(crate) struct SharedStats {
 
 impl SharedStats {
     fn add(&self, computed: u64, skipped: u64, updates: u64) {
-        // The obs counters mirror PruneStats onto the trace schema:
-        // per-chunk increments, aggregated by `Snapshot::counter_total`.
         if computed > 0 {
             self.computed.fetch_add(computed, Ordering::Relaxed);
-            kr_obs::counter!("assign.dists_computed", computed);
         }
         if skipped > 0 {
             self.skipped.fetch_add(skipped, Ordering::Relaxed);
-            kr_obs::counter!("assign.dists_skipped", skipped);
         }
         if updates > 0 {
             self.updates.fetch_add(updates, Ordering::Relaxed);
-            kr_obs::counter!("assign.bound_updates", updates);
         }
     }
 
-    fn snapshot(&self) -> PruneStats {
+    /// Returns the counts and zeroes them.
+    fn take(&self) -> PruneStats {
         PruneStats {
-            dists_computed: self.computed.load(Ordering::Relaxed),
-            dists_skipped: self.skipped.load(Ordering::Relaxed),
-            bound_updates: self.updates.load(Ordering::Relaxed),
+            dists_computed: self.computed.swap(0, Ordering::Relaxed),
+            dists_skipped: self.skipped.swap(0, Ordering::Relaxed),
+            bound_updates: self.updates.swap(0, Ordering::Relaxed),
         }
-    }
-
-    fn reset(&self) {
-        self.computed.store(0, Ordering::Relaxed);
-        self.skipped.store(0, Ordering::Relaxed);
-        self.updates.store(0, Ordering::Relaxed);
     }
 }
 
@@ -384,11 +387,10 @@ fn resize_buf(scratch: &Scratch, buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-// State-row layouts (one f64 row per point, parallel-chunked via
+// The on-the-fly state rows: one f64 row per point, parallel-chunked via
 // `map_rows_into`; the interleaving keeps every per-point mutable in one
 // buffer, which is what lets the pass stay safe-code under
-// `#![forbid(unsafe_code)]`).
-const HAMERLY_STRIDE: usize = 3; // [label, dmin, lower]
+// `#![forbid(unsafe_code)]`.
 const OTF_STRIDE: usize = 8; // [best, label, runner, pruned_lb, lower, d_prev, decided, prev_label]
 
 /// The shared bounds-gated assignment engine.
@@ -406,7 +408,7 @@ pub struct AssignEngine {
     m: usize,
     k: usize,
     session: SessionKind,
-    /// Bounds in `state` describe the snapshot in `prev`/`prev_sets`.
+    /// Bounds in `rows`/`state` describe the snapshot in `prev`/`prev_sets`.
     ready: bool,
     max_x_sq: f64,
     /// Measured max candidate squared norm (on-the-fly sessions).
@@ -414,11 +416,16 @@ pub struct AssignEngine {
     x_norms: Vec<f64>,
     x_lo: Vec<f64>,
     x_hi: Vec<f64>,
+    /// Dense and grid sessions: one row per point.
+    rows: Vec<DistRow>,
+    /// On-the-fly sessions: `OTF_STRIDE` values per point.
     state: Vec<f64>,
     prev: Vec<f64>,
     prev_sets: Vec<Vec<f64>>,
     prev_sets_dims: Vec<(usize, usize)>,
+    /// The counters of the call in progress.
     stats: SharedStats,
+    total: PruneStats,
 }
 
 impl AssignEngine {
@@ -437,11 +444,13 @@ impl AssignEngine {
             x_norms: Vec::new(),
             x_lo: Vec::new(),
             x_hi: Vec::new(),
+            rows: Vec::new(),
             state: Vec::new(),
             prev: Vec::new(),
             prev_sets: Vec::new(),
             prev_sets_dims: Vec::new(),
             stats: SharedStats::default(),
+            total: PruneStats::default(),
         }
     }
 
@@ -495,14 +504,28 @@ impl AssignEngine {
     /// Counters accumulated since construction or the last
     /// [`AssignEngine::take_stats`].
     pub fn stats(&self) -> PruneStats {
-        self.stats.snapshot()
+        self.total
     }
 
     /// Returns and resets the accumulated counters.
     pub fn take_stats(&mut self) -> PruneStats {
-        let s = self.stats.snapshot();
-        self.stats.reset();
-        s
+        std::mem::take(&mut self.total)
+    }
+
+    /// Ends an `assign_*` call: folds its counters into the total and,
+    /// with the `obs` feature, emits the non-zero ones once.
+    fn close_pass(&mut self) {
+        let pass = self.stats.take();
+        self.total.merge(pass);
+        if pass.dists_computed > 0 {
+            kr_obs::counter!("assign.dists_computed", pass.dists_computed);
+        }
+        if pass.dists_skipped > 0 {
+            kr_obs::counter!("assign.dists_skipped", pass.dists_skipped);
+        }
+        if pass.bound_updates > 0 {
+            kr_obs::counter!("assign.bound_updates", pass.bound_updates);
+        }
     }
 
     /// Nearest-centroid assignment against a dense centroid matrix —
@@ -558,8 +581,10 @@ impl AssignEngine {
         if self.exec.prune_mode() == PruneMode::Off {
             exhaustive_dense(data, centroids, labels, dmin, &self.exec, Some(&self.stats));
             self.ready = false;
+            self.close_pass();
             return;
         }
+        let m = self.m;
         self.ensure_dense_session(k);
         let scratch = self.exec.scratch().clone();
         let mut c_norms = scratch.take_f64_uninit(0);
@@ -570,169 +595,192 @@ impl AssignEngine {
                 max_c = v;
             }
         }
-        let err = kernel_error_bound(self.m, self.max_x_sq, max_c);
-        let m = self.m;
+        let err = kernel_error_bound(m, self.max_x_sq, max_c);
         let fz = sets.map(|s| Factored::new(s, &c_norms, self.max_x_sq, m));
-        if self.ready {
+        // The drift since the snapshot, measured in place: the snapshot
+        // is already `k × m`, and `max_drift` would copy each row.
+        let delta = self.ready.then(|| {
             let mut delta_max = 0.0;
-            for c in 0..k {
-                let d = drift_upper(ops::sqdist(
-                    &self.prev[c * m..(c + 1) * m],
-                    centroids.row(c),
-                ));
+            for (c, row) in centroids.rows_iter().enumerate() {
+                let d = drift_upper(ops::sqdist(&self.prev[c * m..(c + 1) * m], row));
                 if d > delta_max {
                     delta_max = d;
                 }
             }
             self.stats.add(0, 0, k as u64);
-            self.hamerly_pass(data, centroids, err, delta_max, fz.as_ref());
-        } else {
-            self.init_dense_pass(data, centroids, err, fz.as_ref());
-            self.ready = true;
-        }
-        for c in 0..k {
-            self.prev[c * m..(c + 1) * m].copy_from_slice(centroids.row(c));
-        }
-        for (i, row) in self.state.chunks_exact(HAMERLY_STRIDE).enumerate() {
-            labels[i] = row[0] as usize;
-            dmin[i] = row[1];
+            delta_max
+        });
+        let filter = fz.as_ref().map(|f| (f, &self.x_norms[..]));
+        let pass = hamerly_pass(
+            &mut self.rows,
+            data,
+            centroids,
+            delta,
+            err,
+            filter,
+            &self.exec,
+        );
+        self.stats
+            .add(pass.dists_computed, pass.dists_skipped, pass.bound_updates);
+        self.ready = true;
+        self.prev.copy_from_slice(centroids.as_slice());
+        for (i, row) in self.rows.iter().enumerate() {
+            labels[i] = row.bound.label as usize;
+            dmin[i] = row.dist;
         }
         scratch.put_f64(c_norms);
+        self.close_pass();
     }
 
+    /// Starts a dense session for `k` centroids unless one is open: the
+    /// on-the-fly rows go back to the arena, and the dense rows are
+    /// allocated once per dataset size.
     fn ensure_dense_session(&mut self, k: usize) {
-        if self.session == SessionKind::Dense
-            && self.k == k
-            && self.state.len() == self.n * HAMERLY_STRIDE
-        {
+        if self.session == SessionKind::Dense && self.k == k && self.rows.len() == self.n {
             return;
         }
         self.session = SessionKind::Dense;
         self.k = k;
         self.ready = false;
         let scratch = self.exec.scratch().clone();
-        resize_buf(&scratch, &mut self.state, self.n * HAMERLY_STRIDE);
+        scratch.put_f64(std::mem::take(&mut self.state));
+        if self.rows.len() != self.n {
+            self.rows = vec![DistRow::default(); self.n];
+        }
         resize_buf(&scratch, &mut self.prev, k * self.m);
     }
+}
 
-    /// First assignment of a session: full (or filtered) scans, equal to
-    /// the exhaustive path, that also seed each point's lower bound.
-    fn init_dense_pass(
-        &mut self,
-        data: &Matrix,
-        centroids: &Matrix,
-        err: f64,
-        fz: Option<&Factored>,
-    ) {
-        let x_norms = &self.x_norms;
-        let stats = &self.stats;
-        let scratch = self.exec.scratch();
-        parallel::map_rows_into(
-            &self.exec,
-            &mut self.state,
-            HAMERLY_STRIDE,
-            1,
-            |start, chunk| {
-                let mut bufs = fz.map(|f| FilterBufs::take(scratch, f, 0, 0));
-                let mut comp = 0u64;
-                let mut skip = 0u64;
-                let mut upd = 0u64;
-                for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
-                    let i = start + off;
-                    let filter = fz.zip(bufs.as_mut());
-                    let (c, s) = rescan(row, data.row(i), x_norms[i], centroids, err, None, filter);
-                    comp += c;
-                    skip += s;
-                    upd += 1;
-                }
-                stats.add(comp, skip, upd);
-                if let Some(b) = bufs {
-                    b.put(scratch);
-                }
-            },
-        );
+/// One point's row of [`ResidentBounds`] and the bound half of an engine
+/// row: its label and a lower bound on the true distance to every other
+/// centroid, rounded toward zero to `f32` so it stays a bound.
+#[derive(Debug, Clone, Copy, Default)]
+struct CompactRow {
+    label: u32,
+    lower: f32,
+}
+
+/// One point's row of the engine's dense and grid sessions: the compact
+/// bound plus the exact distance to the label, the `dmin` that
+/// [`AssignEngine::assign_dense`] and [`AssignEngine::assign_grid`]
+/// return.
+#[derive(Debug, Clone, Copy, Default)]
+struct DistRow {
+    bound: CompactRow,
+    dist: f64,
+}
+
+/// A row of [`hamerly_pass`]: a [`CompactRow`] bound and whatever else
+/// its store keeps per point.
+trait HamerlyRow: Send {
+    fn bound(&self) -> CompactRow;
+    /// Records the point's label, the exact distance to it, and a
+    /// true-distance lower bound on every other centroid.
+    fn store(&mut self, label: usize, dist: f64, lower: f64);
+}
+
+impl HamerlyRow for CompactRow {
+    fn bound(&self) -> CompactRow {
+        *self
     }
 
-    /// Hamerly iteration: one exact evaluation per point (the previous
-    /// assignment — `dmin` must be exact every iteration because it
-    /// feeds inertia), then either a certified whole-point skip or a
-    /// full rescan that re-tightens the bound from the runner-up.
-    /// `delta_max` bounds how far any centroid moved since the bounds
-    /// were set.
-    fn hamerly_pass(
-        &mut self,
-        data: &Matrix,
-        centroids: &Matrix,
-        err: f64,
-        delta_max: f64,
-        fz: Option<&Factored>,
-    ) {
-        let k = self.k;
-        let x_norms = &self.x_norms;
-        let stats = &self.stats;
-        let scratch = self.exec.scratch();
-        parallel::map_rows_into(
-            &self.exec,
-            &mut self.state,
-            HAMERLY_STRIDE,
-            1,
-            |start, chunk| {
-                let mut bufs = fz.map(|f| FilterBufs::take(scratch, f, 0, 0));
-                let mut comp = 0u64;
-                let mut skip = 0u64;
-                let mut upd = 0u64;
-                for (off, row) in chunk.chunks_exact_mut(HAMERLY_STRIDE).enumerate() {
-                    let i = start + off;
-                    let x = data.row(i);
-                    let a = row[0] as usize;
-                    let (d_a, certified) = hamerly_gate(x, centroids, a, row[2], delta_max, err);
-                    comp += 1;
-                    if let Some(l) = certified {
-                        row[1] = d_a;
-                        row[2] = l;
-                        skip += k as u64 - 1;
-                        continue;
-                    }
-                    let filter = fz.zip(bufs.as_mut());
-                    let (c, s) = rescan(row, x, x_norms[i], centroids, err, Some((a, d_a)), filter);
-                    comp += c;
-                    skip += s;
-                    upd += 1;
-                }
-                stats.add(comp, skip, upd);
-                if let Some(b) = bufs {
-                    b.put(scratch);
-                }
-            },
-        );
+    fn store(&mut self, label: usize, _dist: f64, lower: f64) {
+        self.label = label as u32;
+        self.lower = f32_toward_zero(lower);
     }
 }
 
-/// One point's rescan into its `[label, dmin, lower]` Hamerly row:
-/// [`scan_point`] with the lower bound from the runner-up, or through the
-/// factored filter (whose scores read the squared norm `xn`) when the
-/// grid has one. Returns the exact evaluations and the filter's skips.
-fn rescan(
-    row: &mut [f64],
-    x: &[f64],
-    xn: f64,
+impl HamerlyRow for DistRow {
+    fn bound(&self) -> CompactRow {
+        self.bound
+    }
+
+    fn store(&mut self, label: usize, dist: f64, lower: f64) {
+        self.bound.store(label, dist, lower);
+        self.dist = dist;
+    }
+}
+
+/// `v` rounded toward zero to `f32`, the largest `f32` not above it: the
+/// nearest `f32`, stepped down one ulp where it rounded up (an overflow
+/// to `+∞` steps to `f32::MAX`). Exact for `0` and `+∞`; `v` is never
+/// negative or NaN here. Branch-free, as it runs once per point.
+fn f32_toward_zero(v: f64) -> f32 {
+    let f = v as f32;
+    f32::from_bits(f.to_bits() - u32::from(f64::from(f) > v))
+}
+
+/// The one Hamerly pass over a row store, chunk-parallel on `exec`. When
+/// `delta` bounds how far every centroid moved since the rows were
+/// stored, each point takes [`hamerly_gate`] and keeps its label when
+/// certified. Otherwise, and on a first pass (`delta` `None`), it
+/// rescans: through the factored filter when `filter` holds one (with
+/// the data's squared row norms its scores read), else through
+/// [`scan_point`] with the lower bound from the runner-up. Returns the
+/// pass's counters, one bound update per rescan.
+///
+/// # Panics
+/// Panics on more than 2^32 centroids (labels are `u32`).
+fn hamerly_pass<R: HamerlyRow>(
+    rows: &mut [R],
+    data: &Matrix,
     centroids: &Matrix,
+    delta: Option<f64>,
     err: f64,
-    known: Option<(usize, f64)>,
-    filter: Option<(&Factored, &mut FilterBufs)>,
-) -> (u64, u64) {
-    if let Some((fz, bufs)) = filter {
-        return fz.rescan_dense(row, x, xn, centroids, known, bufs);
-    }
-    let (best, best_d, runner, comp) = scan_point(x, centroids, known);
-    row[0] = best as f64;
-    row[1] = best_d;
-    row[2] = dist_lower(runner, err);
-    (comp, 0)
+    filter: Option<(&Factored, &[f64])>,
+    exec: &ExecCtx,
+) -> PruneStats {
+    let k = centroids.nrows() as u64;
+    assert!(k <= 1 << 32, "u32 labels need at most 2^32 centroids");
+    let stats = SharedStats::default();
+    let scratch = exec.scratch();
+    parallel::map_rows_into(exec, rows, 1, 1, |start, chunk| {
+        let mut bufs = filter.map(|(fz, _)| FilterBufs::take(scratch, fz, 0, 0));
+        let (mut comp, mut skip, mut upd) = (0u64, 0u64, 0u64);
+        for (off, row) in chunk.iter_mut().enumerate() {
+            let i = start + off;
+            let x = data.row(i);
+            let mut known = None;
+            if let Some(delta) = delta {
+                let b = row.bound();
+                let a = b.label as usize;
+                let (d_a, certified) =
+                    hamerly_gate(x, centroids, a, f64::from(b.lower), delta, err);
+                comp += 1;
+                if let Some(l) = certified {
+                    row.store(a, d_a, l);
+                    skip += k - 1;
+                    continue;
+                }
+                known = Some((a, d_a));
+            }
+            let (label, dist, lower) = match (filter, bufs.as_mut()) {
+                (Some((fz, x_norms)), Some(bufs)) => {
+                    let s = fz.scan(x, x_norms[i], known, bufs, |c, _, _| {
+                        ops::sqdist(x, centroids.row(c))
+                    });
+                    comp += s.computed;
+                    skip += s.skipped;
+                    (s.label, s.dist, s.lower)
+                }
+                _ => {
+                    let (best, best_d, runner, c) = scan_point(x, centroids, known);
+                    comp += c;
+                    (best, best_d, dist_lower(runner, err))
+                }
+            };
+            row.store(label, dist, lower);
+            upd += 1;
+        }
+        stats.add(comp, skip, upd);
+        if let Some(b) = bufs {
+            b.put(scratch);
+        }
+    });
+    stats.take()
 }
 
-/// The gate of one point's Hamerly step, shared by the engine's f64 rows
-/// and [`ResidentBounds`]' compact rows: the exact distance `d_a` to the
+/// The gate of one point's Hamerly step: the exact distance `d_a` to the
 /// previous label `a`, and — when `lower`, a true-distance bound on every
 /// other candidate decayed by the drift bound `delta`, certifies that
 /// every other candidate computes strictly above `d_a` — the decayed
@@ -1022,23 +1070,6 @@ impl<'a> Factored<'a> {
             skipped: scores.len() as u64 - touched,
         }
     }
-
-    /// [`scan_point`] through the filter, for a materialized grid.
-    fn rescan_dense(
-        &self,
-        row: &mut [f64],
-        x: &[f64],
-        xn: f64,
-        grid: &Matrix,
-        known: Option<(usize, f64)>,
-        bufs: &mut FilterBufs,
-    ) -> (u64, u64) {
-        let s = self.scan(x, xn, known, bufs, |c, _, _| ops::sqdist(x, grid.row(c)));
-        row[0] = s.label as f64;
-        row[1] = s.dist;
-        row[2] = s.lower;
-        (s.computed, s.skipped)
-    }
 }
 
 impl AssignEngine {
@@ -1083,6 +1114,7 @@ impl AssignEngine {
                 Some(&self.stats),
             );
             self.ready = false;
+            self.close_pass();
             return;
         }
         self.ensure_otf_session(k, sets);
@@ -1131,6 +1163,7 @@ impl AssignEngine {
             labels[i] = row[1] as usize;
         }
         scratch.put_f64(mu);
+        self.close_pass();
     }
 
     /// The on-the-fly pass of a Sum grid the factored filter applies to:
@@ -1217,6 +1250,7 @@ impl AssignEngine {
         self.session = SessionKind::Otf;
         self.k = k;
         self.ready = false;
+        self.rows = Vec::new();
         let scratch = self.exec.scratch().clone();
         resize_buf(&scratch, &mut self.state, self.n * OTF_STRIDE);
         for buf in self.prev_sets.drain(..) {
@@ -1590,32 +1624,11 @@ pub(crate) fn exhaustive_otf(
     scratch.put_f64(state);
 }
 
-/// One point's row of [`ResidentBounds`]: its label and a lower bound on
-/// the true distance to every other centroid, rounded toward zero to
-/// `f32` so it stays a bound.
-#[derive(Debug, Clone, Copy, Default)]
-struct CompactRow {
-    label: u32,
-    lower: f32,
-}
-
-/// `v` rounded toward zero to `f32`: the nearest `f32`, stepped down one
-/// ulp where it rounded up (an overflow to `+∞` steps to `f32::MAX`).
-/// Exact for `0` and `+∞`; `v` is never negative here.
-fn f32_toward_zero(v: f64) -> f32 {
-    let f = v as f32;
-    if f64::from(f) > v {
-        f32::from_bits(f.to_bits() - 1)
-    } else {
-        f
-    }
-}
-
 /// Hamerly bounds kept for one fixed dataset across calls with moving
 /// centroids — a federated client's shard from one round to the next.
 ///
 /// Each point holds 8 bytes: a `u32` label and an `f32` lower bound.
-/// [`ResidentBounds::assign`] runs the engine's Hamerly step (the exact
+/// [`ResidentBounds::assign`] runs the engine's Hamerly pass (the exact
 /// distance to the previous label, a certified whole-point skip, else the
 /// full ascending scan with runner-up) and, like
 /// [`crate::kmeans::nearest_centroid`], picks the lowest-index strict-`<`
@@ -1661,10 +1674,7 @@ impl ResidentBounds {
         exec: &ExecCtx,
     ) -> PruneStats {
         let k = centroids.nrows();
-        assert!(
-            k >= 1 && k as u64 <= 1 << 32,
-            "u32 labels need 1 to 2^32 centroids"
-        );
+        assert!(k >= 1, "ResidentBounds needs a centroid");
         debug_assert_eq!(data.nrows(), self.rows.len(), "new saw other data");
         let delta = match drift {
             Some(d) if self.k == k && exec.prune_mode() == PruneMode::On => Some(d),
@@ -1672,39 +1682,7 @@ impl ResidentBounds {
         };
         self.k = k;
         let err = kernel_error_bound(data.ncols(), self.max_x_sq, max_sq_norm(centroids));
-        let (computed, skipped) = (AtomicU64::new(0), AtomicU64::new(0));
-        parallel::map_rows_into(exec, &mut self.rows, 1, 1, |start, chunk| {
-            let (mut comp, mut skip) = (0u64, 0u64);
-            for (off, row) in chunk.iter_mut().enumerate() {
-                let x = data.row(start + off);
-                let known = match delta {
-                    Some(delta) => {
-                        let a = row.label as usize;
-                        let (d_a, certified) =
-                            hamerly_gate(x, centroids, a, f64::from(row.lower), delta, err);
-                        comp += 1;
-                        if let Some(l) = certified {
-                            row.lower = f32_toward_zero(l);
-                            skip += k as u64 - 1;
-                            continue;
-                        }
-                        Some((a, d_a))
-                    }
-                    None => None,
-                };
-                let (best, _, runner, c) = scan_point(x, centroids, known);
-                comp += c;
-                row.label = best as u32;
-                row.lower = f32_toward_zero(dist_lower(runner, err));
-            }
-            computed.fetch_add(comp, Ordering::Relaxed);
-            skipped.fetch_add(skip, Ordering::Relaxed);
-        });
-        PruneStats {
-            dists_computed: computed.into_inner(),
-            dists_skipped: skipped.into_inner(),
-            bound_updates: 0,
-        }
+        hamerly_pass(&mut self.rows, data, centroids, delta, err, None, exec)
     }
 
     /// The label of point `i` from the last [`ResidentBounds::assign`].
@@ -1907,7 +1885,7 @@ impl CcBounds {
             dmin[i] = pair[1];
         }
         scratch.put_f64(buf);
-        self.stats.merge(shared.snapshot());
+        self.stats.merge(shared.take());
         (labels, dmin)
     }
 
@@ -2147,9 +2125,130 @@ mod tests {
         let off = ExecCtx::serial().with_prune_mode(PruneMode::Off);
         let full = bounds.assign(&data, &centroids, Some(0.0), &off);
         assert_eq!((full.dists_computed, full.dists_skipped), (200 * 4, 0));
-        // Rounding toward zero keeps every stored value a lower bound.
-        for v in [0.0, 1.0 / 3.0, 1e-46, 3.5e38, f64::MAX, f64::INFINITY] {
-            assert!(f64::from(f32_toward_zero(v)) <= v, "{v}");
+    }
+
+    /// Rounding toward zero keeps every stored value a lower bound, and
+    /// the tightest one: `f32_toward_zero(v)` is the largest `f32` not
+    /// above `v`. Exact `f32` values come back unchanged; their `f64`
+    /// neighbours, the midpoints to the next `f32`, the subnormals and the
+    /// gap from `f32::MAX` up to 2^128 round down.
+    #[test]
+    fn f32_toward_zero_is_the_largest_f32_not_above() {
+        let step = |v: f64, up: bool| {
+            let b = v.to_bits();
+            f64::from_bits(if up { b + 1 } else { b - 1 })
+        };
+        let largest_subnormal = f32::from_bits(0x007f_ffff);
+        let exact = [
+            0.0,
+            f32::from_bits(1),
+            largest_subnormal,
+            f32::MIN_POSITIVE,
+            1.0 / 3.0,
+            1.0,
+            3.0e38,
+            f32::MAX,
+        ];
+        let two_128 = 2f64.powi(128);
+        let mut cases = vec![1e-46, 1e-300, f64::MIN_POSITIVE, 3.5e38, two_128, f64::MAX];
+        for f in exact {
+            let v = f64::from(f);
+            assert_eq!(f32_toward_zero(v).to_bits(), f.to_bits(), "exact {f:e}");
+            cases.push(step(v, true));
+            if v > 0.0 {
+                cases.push(step(v, false));
+            }
+            let next = f32::from_bits(f.to_bits() + 1);
+            if next.is_finite() {
+                cases.push((v + f64::from(next)) / 2.0);
+            }
+        }
+        let max = f64::from(f32::MAX);
+        cases.extend([(max + two_128) / 2.0, step(two_128, false)]);
+        for v in cases {
+            let r = f32_toward_zero(v);
+            let next = f32::from_bits(r.to_bits() + 1);
+            assert!(f64::from(r) <= v && f64::from(next) > v, "{v:e} -> {r:e}");
+        }
+        assert_eq!(f32_toward_zero(f64::INFINITY), f32::INFINITY);
+        assert_eq!(f32_toward_zero(two_128), f32::MAX);
+    }
+
+    /// The row sizes the heap figures rest on, and the shared pass where
+    /// true distances leave `f32`'s range: at 1e40 every stored bound
+    /// saturates at `f32::MAX`, at 1e-44 bounds flush toward zero through
+    /// the subnormals. Over 8 drifting passes the dense engine, the grid
+    /// engine on a Sum 4+4 grid (the factored filter) and
+    /// `ResidentBounds` stay bitwise equal to the exhaustive scan.
+    #[test]
+    fn shared_rows_match_exhaustive_outside_f32_range() {
+        assert_eq!(std::mem::size_of::<CompactRow>(), 8);
+        assert_eq!(std::mem::size_of::<DistRow>(), 16);
+        let (n, m) = (160, 3);
+        let agg = Aggregator::Sum;
+        let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
+        for scale in [1e40, 1e-44] {
+            // Eight blobs on a grid, with jitter.
+            let data = Matrix::from_fn(n, m, |i, j| {
+                let corner = ((i % 8) >> j.min(2)) & 1;
+                scale * (4.0 * corner as f64 + ((i * 7 + j * 5) % 11) as f64 * 0.1)
+            });
+            let mut sets: Vec<Matrix> = (0..2)
+                .map(|l| {
+                    Matrix::from_fn(4, m, |i, j| {
+                        scale * (((i * 3 + j + l) % 5) as f64 * (0.6 + l as f64))
+                    })
+                })
+                .collect();
+            assert!(filter_applies(&sets, agg));
+            let mut dense = AssignEngine::new(&exec);
+            dense.begin_fit(&data);
+            let mut grid_engine = AssignEngine::new(&exec);
+            grid_engine.begin_fit(&data);
+            let mut resident = ResidentBounds::new(&data);
+            let mut prev: Option<Matrix> = None;
+            let (mut labels, mut dmin) = (vec![0usize; n], vec![0.0f64; n]);
+            let (mut rl, mut rd) = (vec![0usize; n], vec![0.0f64; n]);
+            for it in 0..8 {
+                let grid = crate::operator::khatri_rao(&sets, agg).unwrap();
+                exhaustive_dense(&data, &grid, &mut rl, &mut rd, &exec, None);
+                let ctx = format!("scale {scale:e} iter {it}");
+                let check = |labels: &[usize], dmin: &[f64], path: &str| {
+                    assert_eq!(labels, rl, "{ctx} {path}");
+                    for (i, (a, b)) in dmin.iter().zip(&rd).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{ctx} {path} point {i}");
+                    }
+                };
+                dense.assign_dense(&data, &grid, &mut labels, &mut dmin);
+                check(&labels, &dmin, "dense");
+                grid_engine.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
+                check(&labels, &dmin, "grid");
+                let drift = prev
+                    .as_ref()
+                    .map(|p| max_drift(&grid, |c, out| out.copy_from_slice(p.row(c))));
+                resident.assign(&data, &grid, drift, &exec);
+                for (i, &want) in rl.iter().enumerate() {
+                    assert_eq!(resident.label(i), want, "{ctx} resident point {i}");
+                }
+                prev = Some(grid);
+                for (l, s) in sets.iter_mut().enumerate() {
+                    for r in 0..s.nrows() {
+                        for v in s.row_mut(r).iter_mut() {
+                            *v += scale * 0.02 * ((r + l + it) % 3) as f64;
+                        }
+                    }
+                }
+            }
+            // The bounds really sat at the edge of `f32`'s range.
+            let edge = |r: &CompactRow| {
+                if scale > 1.0 {
+                    r.lower == f32::MAX
+                } else {
+                    r.lower < f32::MIN_POSITIVE
+                }
+            };
+            assert!(resident.rows.iter().all(edge), "scale {scale:e}");
+            assert!(dense.rows.iter().all(|r| edge(&r.bound)), "scale {scale:e}");
         }
     }
 

@@ -21,11 +21,11 @@
 //!    and the server closes the round with [`RoundAck`]. The final ack
 //!    carries `done = true` and shuts the client down.
 //!
-//! The *state machines* are pure: [`ServerState`] turns aggregated
-//! statistics into the next summary (exact mean update for FkM, the
-//! Proposition 6.1 closed forms for KR-FkM), and [`compute_local_stats`]
-//! turns a received summary into a client's reply with the exhaustive
-//! scan — the reference the bounds-gated
+//! The *state machines* are pure: [`Summary::apply_stats`] turns
+//! aggregated statistics into the next summary (exact mean update for
+//! FkM, the Proposition 6.1 closed forms for KR-FkM), and
+//! [`compute_local_stats`] turns a received summary into a client's
+//! reply with the exhaustive scan — the reference the bounds-gated
 //! [`ShardClient`](crate::client::ShardClient) equals bitwise, and the
 //! evaluation scorer. Neither touches a socket, which is what makes the
 //! in-process and loopback-TCP runs bitwise identical.
@@ -104,6 +104,23 @@ impl Summary {
         match self {
             Summary::Centroids(c) => c.all_finite(),
             Summary::ProtoSets { sets, .. } => sets.iter().all(Matrix::all_finite),
+        }
+    }
+
+    /// The server's round update from one round's aggregated statistics:
+    /// the exact mean update for FkM ([`mean_update`], the one `KMeans`
+    /// runs; clusters that captured no points keep their stale centroid —
+    /// the server holds no raw data to reseed from), or the Proposition
+    /// 6.1 closed forms for KR-FkM.
+    pub fn apply_stats(&mut self, stats: &SuffStats) {
+        match self {
+            Summary::Centroids(centroids) => {
+                let counts: Vec<f64> = stats.counts.iter().map(|&c| c as f64).collect();
+                mean_update(centroids, &stats.sums, &counts, |_| 0.0);
+            }
+            Summary::ProtoSets { aggregator, sets } => {
+                prop61_update_from_stats(&stats.sums, &stats.counts_usize(), sets, *aggregator);
+            }
         }
     }
 }
@@ -286,70 +303,6 @@ pub enum Msg {
     RoundAck(RoundAck),
 }
 
-// ---- server state machine ----------------------------------------------
-
-/// The server's model state: everything needed to emit the next
-/// [`Broadcast`] and absorb aggregated [`SuffStats`]. Pure — no I/O.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerState {
-    /// FkM: `k` free centroids.
-    Fkm {
-        /// Current centroid matrix.
-        centroids: Matrix,
-    },
-    /// KR-FkM: `p` protocentroid sets.
-    KrFkm {
-        /// Elementwise aggregator.
-        aggregator: Aggregator,
-        /// Current protocentroid sets.
-        sets: Vec<Matrix>,
-    },
-}
-
-impl ServerState {
-    /// The summary to broadcast this round.
-    pub fn summary(&self) -> Summary {
-        match self {
-            ServerState::Fkm { centroids } => Summary::Centroids(centroids.clone()),
-            ServerState::KrFkm { aggregator, sets } => Summary::ProtoSets {
-                aggregator: *aggregator,
-                sets: sets.clone(),
-            },
-        }
-    }
-
-    /// Number of centroids the state expands to.
-    pub fn grid_size(&self) -> usize {
-        match self {
-            ServerState::Fkm { centroids } => centroids.nrows(),
-            ServerState::KrFkm { sets, .. } => sets.iter().map(|s| s.nrows()).product(),
-        }
-    }
-
-    /// Applies one round's aggregated statistics: the exact mean update
-    /// for FkM ([`mean_update`], the one `KMeans` runs; clusters that
-    /// captured no points keep their stale centroid — the server holds
-    /// no raw data to reseed from), or the Proposition 6.1 closed forms
-    /// for KR-FkM.
-    pub fn apply_stats(&mut self, stats: &SuffStats) {
-        match self {
-            ServerState::Fkm { centroids } => {
-                let counts: Vec<f64> = stats.counts.iter().map(|&c| c as f64).collect();
-                mean_update(centroids, &stats.sums, &counts, |_| 0.0);
-            }
-            ServerState::KrFkm { aggregator, sets } => {
-                prop61_update_from_stats(&stats.sums, &stats.counts_usize(), sets, *aggregator);
-            }
-        }
-    }
-
-    /// Materializes the full centroid grid (FkM: the state itself;
-    /// KR-FkM: the Khatri-Rao expansion).
-    pub fn materialize(&self) -> Matrix {
-        self.summary().materialize().expect("server-validated sets")
-    }
-}
-
 // ---- client-side round computation --------------------------------------
 
 /// Computes one round's [`LocalStats`] for a shard with the exhaustive
@@ -420,14 +373,13 @@ mod tests {
 
     #[test]
     fn fkm_update_keeps_stale_centroids() {
-        let mut state = ServerState::Fkm {
-            centroids: Matrix::from_rows(&[vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap(),
-        };
+        let mut state =
+            Summary::Centroids(Matrix::from_rows(&[vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap());
         let mut stats = SuffStats::zeros(2, 2);
         stats.sums.row_mut(0).copy_from_slice(&[4.0, 8.0]);
         stats.counts[0] = 4;
         state.apply_stats(&stats);
-        let ServerState::Fkm { centroids } = &state else {
+        let Summary::Centroids(centroids) = &state else {
             unreachable!()
         };
         assert_eq!(centroids.row(0), &[1.0, 2.0]);
@@ -446,9 +398,7 @@ mod tests {
             local.stats.counts.iter().all(|&c| c > 0),
             "no empty cluster"
         );
-        let mut state = ServerState::Fkm {
-            centroids: c0.clone(),
-        };
+        let mut state = Summary::Centroids(c0.clone());
         state.apply_stats(&local.stats);
         let km = kr_core::KMeans::new(5)
             .with_init(kr_core::kmeans::KMeansInit::FromCentroids(c0))
@@ -457,7 +407,7 @@ mod tests {
             .fit(&data)
             .unwrap();
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&state.materialize()), bits(&km.centroids));
+        assert_eq!(bits(&state.materialize().unwrap()), bits(&km.centroids));
     }
 
     #[test]

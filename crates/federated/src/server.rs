@@ -32,7 +32,7 @@
 //! frame traffic, overhead included, is reported in [`WireTotals`].
 
 use crate::mask;
-use crate::protocol::{Broadcast, Join, LocalStats, MaskSpec, Msg, RoundAck, ServerState};
+use crate::protocol::{Broadcast, Join, LocalStats, MaskSpec, Msg, RoundAck, Summary};
 use crate::transport::{
     classify, fold_connections, for_each_connection, recv_expected, Connection, FailureKind,
 };
@@ -165,9 +165,7 @@ impl FederatedServer {
         // ---- Bootstrap (uncounted; identical bookkeeping for both
         // algorithms, matching the paper's accounting).
         let mut state = match &self.algo {
-            Algo::Fkm { k } => ServerState::Fkm {
-                centroids: driver.dsq_sample(*k, &mut rng)?,
-            },
+            Algo::Fkm { k } => Summary::Centroids(driver.dsq_sample(*k, &mut rng)?),
             Algo::KrFkm { hs, aggregator } => {
                 // Anchored kr++-style initialization: D²-spread client
                 // points per set; sets beyond the first are converted to
@@ -182,7 +180,7 @@ impl FederatedServer {
                     }
                     sets.push(set);
                 }
-                ServerState::KrFkm {
+                Summary::ProtoSets {
                     aggregator: *aggregator,
                     sets,
                 }
@@ -247,7 +245,7 @@ impl FederatedServer {
         driver.broadcast_ack(self.rounds as u32, true)?;
 
         Ok(FederatedModel {
-            centroids: state.materialize(),
+            centroids: state.materialize().expect("server-validated sets"),
             history,
             wire: driver.wire,
         })
@@ -431,7 +429,7 @@ impl<'e, C: Connection> Driver<'e, C> {
         &self,
         round: u32,
         eval_only: bool,
-        state: &ServerState,
+        state: &Summary,
         mask_seed: Option<u64>,
     ) -> Broadcast {
         let mask = mask_seed.map(|seed| MaskSpec {
@@ -448,7 +446,7 @@ impl<'e, C: Connection> Driver<'e, C> {
             round,
             eval_only,
             mask,
-            summary: state.summary(),
+            summary: state.clone(),
         }
     }
 

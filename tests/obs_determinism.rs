@@ -131,6 +131,82 @@ fn kmeans_fit_is_bitwise_invisible() {
     }
 }
 
+/// One source of truth for the pruning counters: in a fit that runs one
+/// engine, each `assign.*` counter total equals the model's own
+/// `prune_stats`, and each counter is added at most once per
+/// `assign.pass` span — once per assignment call, not once per chunk or
+/// candidate. The fits cover the dense pass, the grid pass with the
+/// factored filter, both on-the-fly paths (the Sum filter and the
+/// Product tuple sweep), and the exhaustive scans with pruning off.
+#[test]
+fn assign_counters_equal_prune_stats_once_per_pass() {
+    use kr_core::kr_kmeans::KrVariant;
+    let ds = kr_datasets::synthetic::blobs(300, 6, 12, 0.7, 21);
+    let positive = Matrix::from_fn(300, 6, |i, j| ds.data.get(i, j).abs() + 1.0);
+    for workers in WORKERS {
+        for prune in [PruneMode::Off, PruneMode::On] {
+            let exec = || exec_with(workers, KernelMode::Simd, prune);
+            let kr = |agg: Aggregator, variant: KrVariant, data: &Matrix| {
+                KrKMeans::new(vec![3, 2])
+                    .with_aggregator(agg)
+                    .with_variant(variant)
+                    .with_warm_start(false)
+                    .with_seed(5)
+                    .with_n_init(2)
+                    .with_max_iter(6)
+                    .with_exec(exec())
+                    .fit(data)
+                    .unwrap()
+                    .prune_stats
+            };
+            for name in ["KMeans", "KR-+ grid", "KR-+ on the fly", "KR-x on the fly"] {
+                let fit = || match name {
+                    "KMeans" => {
+                        KMeans::new(8)
+                            .with_seed(4)
+                            .with_n_init(2)
+                            .with_max_iter(6)
+                            .with_exec(exec())
+                            .fit(&ds.data)
+                            .unwrap()
+                            .prune_stats
+                    }
+                    "KR-+ grid" => kr(Aggregator::Sum, KrVariant::TimeEfficient, &ds.data),
+                    "KR-+ on the fly" => kr(Aggregator::Sum, KrVariant::MemoryEfficient, &ds.data),
+                    _ => kr(Aggregator::Product, KrVariant::MemoryEfficient, &positive),
+                };
+                let ctx = format!("{name} workers={workers} prune={prune:?}");
+                let recorder = obs::Recorder::install_virtual();
+                let stats = fit();
+                let snapshot = recorder.snapshot();
+                drop(recorder);
+                assert_eq!(snapshot.dropped, 0, "{ctx}: trace overflowed");
+                let passes = snapshot.span_durations("assign.pass").len();
+                assert!(
+                    passes > 0 && stats.dists_computed > 0,
+                    "{ctx}: nothing assigned"
+                );
+                for (counter, total) in [
+                    ("assign.dists_computed", stats.dists_computed),
+                    ("assign.dists_skipped", stats.dists_skipped),
+                    ("assign.bound_updates", stats.bound_updates),
+                ] {
+                    assert_eq!(snapshot.counter_total(counter), total, "{ctx}: {counter}");
+                    let adds = snapshot
+                        .events
+                        .iter()
+                        .filter(|e| e.kind == obs::EventKind::Counter && e.name == counter)
+                        .count();
+                    assert!(
+                        adds <= passes,
+                        "{ctx}: {adds} {counter} events for {passes} passes"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A 12-batch mini-batch run: summaries (the SuffStats-derived weighted
 /// coreset) and per-batch inertia telemetry must carry identical bits,
 /// and the trace must hold one `stream.batch` span per batch.
