@@ -41,36 +41,40 @@
 //!
 //! ## Bound structure
 //!
-//! Dense and materialized-grid assignment keep one lower bound per
-//! point on the distance to every non-assigned centroid (Hamerly),
-//! decayed each iteration by the maximum centroid drift. Whole-point
-//! skips cost O(1), and the bound state is O(n) whatever `k` is.
+//! Every session keeps one lower bound per point on the distance to
+//! every non-assigned centroid (Hamerly), decayed each iteration by the
+//! maximum centroid drift. Whole-point skips cost O(1), and the bound
+//! state is O(n) whatever `k` is.
 //! Per-(point, centroid) bounds (Elkan) evaluate fewer distances, but
 //! their O(n·k) upkeep cost more than those evaluations saved at every
 //! shape measured, so they are not kept.
 //!
-//! One chunk-parallel pass runs this step over two row stores. Every row
-//! holds a `u32` label and an `f32` lower bound rounded toward zero, so
-//! it stays a bound. A federated client keeps these bare 8-byte rows for
-//! its shard from one round to the next in [`ResidentBounds`]; the
-//! engine's dense and grid sessions keep 16-byte rows that add the exact
-//! distance to the label, because [`AssignEngine::assign_dense`] and
-//! [`AssignEngine::assign_grid`] return it. A point whose decayed bound
-//! certifies its label keeps it. Any other point, and every point of a
-//! first pass, rescans: through the factored filter below when the grid
-//! has one, else through the full ascending scan. The client holds no
-//! engine because its rows live across rounds in memory the federation
-//! pays for on every shard: it keeps no distance (it recomputes the one
-//! to the label when it sums its statistics), no norms (one data maximum
-//! feeds the error term), and snapshots the broadcast summary,
-//! `(Σ h_l)·m` floats for KR-FkM, instead of the grid.
+//! Each row holds a `u32` label and an `f32` lower bound rounded toward
+//! zero, so it stays a bound. A federated client keeps these bare 8-byte
+//! rows for its shard from one round to the next in [`ResidentBounds`];
+//! every engine session — dense, materialized grid and on the fly —
+//! keeps 16-byte rows that add the exact distance to the label, which
+//! the `assign_*` calls return. One chunk-parallel pass gates every
+//! point the same way: a point whose decayed bound certifies its label
+//! keeps it. Any other point, and every point of a first pass, rescans:
+//! through the factored filter below when the grid has one, else through
+//! the full ascending scan of a materialized matrix, or the tuple sweep
+//! of an implicit grid.
+//! The client holds no engine because its rows live across rounds in
+//! memory the federation pays for on every shard: it keeps no distance
+//! (it recomputes the one to the label when it sums its statistics), no
+//! norms (one data maximum feeds the error term), and snapshots the
+//! broadcast summary, `(Σ h_l)·m` floats for KR-FkM, instead of the grid.
 //!
-//! Memory-efficient (on-the-fly) Khatri-Rao assignment uses the same
-//! single bound, with per-factor drift combined per the aggregator, in
-//! 8-slot f64 rows of its own that also carry the sweep's running best
-//! and runner-up. Pruning is on unless the context's
-//! [`kr_linalg::PruneMode`] (default from `KR_PRUNE`) is `Off`, which
-//! runs the exhaustive reference scans.
+//! Memory-efficient (on-the-fly) Khatri-Rao assignment gates with the
+//! same single bound, with per-factor drift combined per the aggregator.
+//! It never holds the `k × m` grid, so each pass first aggregates every
+//! candidate once for its squared norm, which sizes the error term, and
+//! from the second pass on a counting sort by label aggregates each
+//! occupied candidate once more to store each point's exact distance to
+//! its label in its row: the distance the gate reads. Pruning is on
+//! unless the context's [`kr_linalg::PruneMode`] (default from
+//! `KR_PRUNE`) is `Off`, which runs the exhaustive reference scans.
 //!
 //! ### Factored filter
 //!
@@ -108,25 +112,27 @@
 //! The filter applies to `Aggregator::Sum` grids that need fewer dot
 //! products than they have candidates (`Σ h_l < ∏ h_l`, so not 2+2 or
 //! `p = 1`), in both KR paths: the materialized grid
-//! ([`AssignEngine::assign_grid`]) rescans the points whose Hamerly
-//! bound fails through it, and the on-the-fly path
-//! ([`AssignEngine::assign_otf`]) scans the points its phase-1 Hamerly
-//! decision leaves open point by point through it, with candidate norms
-//! from an `O(k)`-scalar pre-pass (no `k × m` grid is stored). The
-//! `Product` aggregator does not factor (`⟨x, θ_1 ∘ θ_2⟩` does not split
-//! into per-set dot products) and keeps the tuple sweep, as do the Sum
-//! shapes the filter does not apply to. Only that sweep uses the
-//! per-candidate norm gate `d(x, c) ≥ |‖x‖ − ‖c‖|`, so the per-point norm
-//! bounds it reads are built on its first pass, not for every fit.
+//! ([`AssignEngine::assign_grid`]) and the on-the-fly path
+//! ([`AssignEngine::assign_otf`]) rescan the points whose Hamerly bound
+//! fails through it, the latter with the candidate norms of its
+//! pre-pass (no `k × m` grid is stored). The `Product` aggregator does
+//! not factor (`⟨x, θ_1 ∘ θ_2⟩` does not split into per-set dot
+//! products) and keeps the tuple sweep, as do the Sum shapes the filter
+//! does not apply to. The sweep gathers the points its gate leaves open
+//! in blocks of 256 per chunk, walks every candidate once per block, and
+//! skips a candidate for a point when the norm gate
+//! `d(x, c) ≥ |‖x‖ − ‖c‖|` certifies it above the point's running best;
+//! a chunk's sweep state is bounded by the block size, not the chunk's.
 //!
-//! The engine's cached norms, its `k × m` drift snapshot and the
-//! on-the-fly rows live in the [`kr_linalg::Scratch`] arena of its
-//! `ExecCtx`, so steady-state Lloyd iterations stay O(1) allocations,
-//! one engine serves every restart of a fit, and the next fit on the same
-//! context (the coreset tree runs many small ones) reuses them instead of
-//! allocating. The arena pools only `f64` and `usize` buffers, so the
-//! dense rows are the engine's own: one vector per session, freed with
-//! the engine.
+//! The engine's cached norms, its drift snapshot (`k × m` for a dense
+//! session, the factor sets on the fly) and every pass's temporaries live
+//! in the [`kr_linalg::Scratch`] arena of its `ExecCtx`, so steady-state
+//! Lloyd iterations stay O(1) allocations, one engine serves every
+//! restart of a fit, and the next fit on the same context (the coreset
+//! tree runs many small ones) reuses them instead of allocating. The
+//! arena pools only `f64` and `usize` buffers, so the rows are the
+//! engine's own: one vector, allocated for the first session on a
+//! dataset size, shared by every session, freed with the engine.
 //!
 //! [`PruneStats`] counts exact evaluations, certified skips, and bound
 //! refreshes for the benches (telemetry only — counters may differ
@@ -378,20 +384,17 @@ enum SessionKind {
     Otf,
 }
 
-/// Swaps `buf` for a zeroed scratch buffer of `len` elements when its
-/// size does not match (no-op on the steady-state path).
-fn resize_buf(scratch: &Scratch, buf: &mut Vec<f64>, len: usize) {
-    if buf.len() != len {
-        scratch.put_f64(std::mem::take(buf));
-        *buf = scratch.take_f64(len);
+/// Largest entry of `v`, NaNs ignored (0 for an empty slice): the largest
+/// squared norm an error term covers.
+fn max_entry(v: &[f64]) -> f64 {
+    let mut mx = 0.0;
+    for &x in v {
+        if x > mx {
+            mx = x;
+        }
     }
+    mx
 }
-
-// The on-the-fly state rows: one f64 row per point, parallel-chunked via
-// `map_rows_into`; the interleaving keeps every per-point mutable in one
-// buffer, which is what lets the pass stay safe-code under
-// `#![forbid(unsafe_code)]`.
-const OTF_STRIDE: usize = 8; // [best, label, runner, pruned_lb, lower, d_prev, decided, prev_label]
 
 /// The shared bounds-gated assignment engine.
 ///
@@ -408,18 +411,12 @@ pub struct AssignEngine {
     m: usize,
     k: usize,
     session: SessionKind,
-    /// Bounds in `rows`/`state` describe the snapshot in `prev`/`prev_sets`.
+    /// Bounds in `rows` describe the snapshot in `prev`/`prev_sets`.
     ready: bool,
     max_x_sq: f64,
-    /// Measured max candidate squared norm (on-the-fly sessions).
-    max_c_sq: f64,
     x_norms: Vec<f64>,
-    x_lo: Vec<f64>,
-    x_hi: Vec<f64>,
-    /// Dense and grid sessions: one row per point.
+    /// One row per point, in every session.
     rows: Vec<DistRow>,
-    /// On-the-fly sessions: `OTF_STRIDE` values per point.
-    state: Vec<f64>,
     prev: Vec<f64>,
     prev_sets: Vec<Vec<f64>>,
     prev_sets_dims: Vec<(usize, usize)>,
@@ -440,12 +437,8 @@ impl AssignEngine {
             session: SessionKind::None,
             ready: false,
             max_x_sq: 0.0,
-            max_c_sq: 0.0,
             x_norms: Vec::new(),
-            x_lo: Vec::new(),
-            x_hi: Vec::new(),
             rows: Vec::new(),
-            state: Vec::new(),
             prev: Vec::new(),
             prev_sets: Vec::new(),
             prev_sets_dims: Vec::new(),
@@ -466,33 +459,10 @@ impl AssignEngine {
         self.ready = false;
         let scratch = self.exec.scratch().clone();
         scratch.put_f64(std::mem::take(&mut self.x_norms));
-        scratch.put_f64(std::mem::take(&mut self.x_lo));
-        scratch.put_f64(std::mem::take(&mut self.x_hi));
         let mut xn = scratch.take_f64_uninit(0);
         data.row_sq_norms_into(&mut xn);
+        self.max_x_sq = max_entry(&xn);
         self.x_norms = xn;
-        let mut mx = 0.0;
-        for &v in self.x_norms.iter() {
-            if v > mx {
-                mx = v;
-            }
-        }
-        self.max_x_sq = mx;
-    }
-
-    /// Builds the per-point norm bounds of the tuple sweep's norm gate,
-    /// the only reader, on its first pass over the current dataset.
-    fn ensure_norm_bounds(&mut self) {
-        if self.x_lo.len() == self.n {
-            return;
-        }
-        let scratch = self.exec.scratch().clone();
-        resize_buf(&scratch, &mut self.x_lo, self.n);
-        resize_buf(&scratch, &mut self.x_hi, self.n);
-        for (i, &xn) in self.x_norms.iter().enumerate() {
-            self.x_lo[i] = norm_lower(xn, self.m);
-            self.x_hi[i] = norm_upper(xn, self.m);
-        }
     }
 
     /// Invalidates bound state between restarts (cached data norms are
@@ -589,14 +559,8 @@ impl AssignEngine {
         let scratch = self.exec.scratch().clone();
         let mut c_norms = scratch.take_f64_uninit(0);
         centroids.row_sq_norms_into(&mut c_norms);
-        let mut max_c = 0.0;
-        for &v in c_norms.iter() {
-            if v > max_c {
-                max_c = v;
-            }
-        }
-        let err = kernel_error_bound(m, self.max_x_sq, max_c);
-        let fz = sets.map(|s| Factored::new(s, &c_norms, self.max_x_sq, m));
+        let err = kernel_error_bound(m, self.max_x_sq, max_entry(&c_norms));
+        let fz = sets.map(|s| Factored::new(s, &c_norms, &self.x_norms, self.max_x_sq, m));
         // The drift since the snapshot, measured in place: the snapshot
         // is already `k × m`, and `max_drift` would copy each row.
         let delta = self.ready.then(|| {
@@ -610,44 +574,57 @@ impl AssignEngine {
             self.stats.add(0, 0, k as u64);
             delta_max
         });
-        let filter = fz.as_ref().map(|f| (f, &self.x_norms[..]));
         let pass = hamerly_pass(
             &mut self.rows,
             data,
-            centroids,
+            Candidates::Rows(centroids, fz.as_ref()),
+            |r, x| ops::sqdist(x, centroids.row(r.bound.label as usize)),
             delta,
             err,
-            filter,
             &self.exec,
         );
+        self.prev.copy_from_slice(centroids.as_slice());
+        scratch.put_f64(c_norms);
+        self.finish_pass(pass, labels, dmin);
+    }
+
+    /// Ends a pruned pass: its counters join the call's, the bounds now
+    /// describe the snapshot, and every row's label and distance go out.
+    fn finish_pass(&mut self, pass: PruneStats, labels: &mut [usize], dmin: &mut [f64]) {
         self.stats
             .add(pass.dists_computed, pass.dists_skipped, pass.bound_updates);
         self.ready = true;
-        self.prev.copy_from_slice(centroids.as_slice());
         for (i, row) in self.rows.iter().enumerate() {
             labels[i] = row.bound.label as usize;
             dmin[i] = row.dist;
         }
-        scratch.put_f64(c_norms);
         self.close_pass();
     }
 
-    /// Starts a dense session for `k` centroids unless one is open: the
-    /// on-the-fly rows go back to the arena, and the dense rows are
-    /// allocated once per dataset size.
-    fn ensure_dense_session(&mut self, k: usize) {
-        if self.session == SessionKind::Dense && self.k == k && self.rows.len() == self.n {
-            return;
-        }
-        self.session = SessionKind::Dense;
+    /// Opens a session of `kind` for `k` centroids, whose bounds are
+    /// invalid until its first pass. The rows are allocated once per
+    /// dataset size, and every session shares them.
+    fn open_session(&mut self, kind: SessionKind, k: usize) {
+        self.session = kind;
         self.k = k;
         self.ready = false;
-        let scratch = self.exec.scratch().clone();
-        scratch.put_f64(std::mem::take(&mut self.state));
         if self.rows.len() != self.n {
             self.rows = vec![DistRow::default(); self.n];
         }
-        resize_buf(&scratch, &mut self.prev, k * self.m);
+    }
+
+    /// Starts a dense session for `k` centroids unless one is open, with
+    /// a `k × m` drift snapshot.
+    fn ensure_dense_session(&mut self, k: usize) {
+        if self.session == SessionKind::Dense && self.k == k {
+            return;
+        }
+        self.open_session(SessionKind::Dense, k);
+        if self.prev.len() != k * self.m {
+            let scratch = self.exec.scratch().clone();
+            scratch.put_f64(std::mem::take(&mut self.prev));
+            self.prev = scratch.take_f64(k * self.m);
+        }
     }
 }
 
@@ -660,10 +637,11 @@ struct CompactRow {
     lower: f32,
 }
 
-/// One point's row of the engine's dense and grid sessions: the compact
-/// bound plus the exact distance to the label, the `dmin` that
-/// [`AssignEngine::assign_dense`] and [`AssignEngine::assign_grid`]
-/// return.
+/// One point's row of every engine session: the compact bound plus the
+/// exact distance to the label, the `dmin` that the `assign_*` calls
+/// return. An on-the-fly pass first refreshes it to the label's current
+/// centroid ([`AssignEngine::otf_label_dists`]), the distance its gate
+/// reads.
 #[derive(Debug, Clone, Copy, Default)]
 struct DistRow {
     bound: CompactRow,
@@ -710,32 +688,65 @@ fn f32_toward_zero(v: f64) -> f32 {
     f32::from_bits(f.to_bits() - u32::from(f64::from(f) > v))
 }
 
+/// The candidates of one [`hamerly_pass`], and how it rescans a point
+/// that its gate leaves open.
+#[derive(Clone, Copy)]
+enum Candidates<'a> {
+    /// A materialized centroid matrix, rescanned through the factored
+    /// filter when one is given, else through [`scan_point`].
+    Rows(&'a Matrix, Option<&'a Factored<'a>>),
+    /// An implicit Sum grid under its indexer, rescanned through the
+    /// filter; each candidate the filter evaluates is aggregated on the
+    /// fly.
+    Implicit(&'a Factored<'a>, &'a CentroidIndexer),
+}
+
+impl Candidates<'_> {
+    /// The exact kernel value of `x` against candidate `c`; an implicit
+    /// candidate is aggregated into `mu` through `tuple`.
+    fn eval(&self, x: &[f64], c: usize, mu: &mut [f64], tuple: &mut [usize]) -> f64 {
+        match *self {
+            Candidates::Rows(rows, _) => ops::sqdist(x, rows.row(c)),
+            Candidates::Implicit(fz, indexer) => {
+                indexer.to_tuple_into(c, tuple);
+                aggregate_tuple_into(mu, fz.sets, tuple, Aggregator::Sum);
+                ops::sqdist(x, mu)
+            }
+        }
+    }
+}
+
 /// The one Hamerly pass over a row store, chunk-parallel on `exec`. When
 /// `delta` bounds how far every centroid moved since the rows were
-/// stored, each point takes [`hamerly_gate`] and keeps its label when
-/// certified. Otherwise, and on a first pass (`delta` `None`), it
-/// rescans: through the factored filter when `filter` holds one (with
-/// the data's squared row norms its scores read), else through
-/// [`scan_point`] with the lower bound from the runner-up. Returns the
-/// pass's counters, one bound update per rescan.
+/// stored, each point takes [`hamerly_gate`] with `label_dist`, the exact
+/// distance to its label, and keeps the label when certified. Otherwise,
+/// and on a first pass (`delta` `None`), it rescans as `cands` says, with
+/// the lower bound from the runner-up. Returns the pass's counters, one
+/// bound update per rescan.
 ///
 /// # Panics
 /// Panics on more than 2^32 centroids (labels are `u32`).
 fn hamerly_pass<R: HamerlyRow>(
     rows: &mut [R],
     data: &Matrix,
-    centroids: &Matrix,
+    cands: Candidates<'_>,
+    label_dist: impl Fn(&R, &[f64]) -> f64 + Sync,
     delta: Option<f64>,
     err: f64,
-    filter: Option<(&Factored, &[f64])>,
     exec: &ExecCtx,
 ) -> PruneStats {
-    let k = centroids.nrows() as u64;
-    assert!(k <= 1 << 32, "u32 labels need at most 2^32 centroids");
+    let (k, mu_len, tuple_len) = match cands {
+        Candidates::Rows(c, _) => (c.nrows(), 0, 0),
+        Candidates::Implicit(fz, ix) => (fz.c_norms.len(), data.ncols(), ix.n_sets()),
+    };
+    assert!(
+        k as u64 <= 1 << 32,
+        "u32 labels need at most 2^32 centroids"
+    );
     let stats = SharedStats::default();
     let scratch = exec.scratch();
     parallel::map_rows_into(exec, rows, 1, 1, |start, chunk| {
-        let mut bufs = filter.map(|(fz, _)| FilterBufs::take(scratch, fz, 0, 0));
+        let mut bufs: Option<FilterBufs> = None;
         let (mut comp, mut skip, mut upd) = (0u64, 0u64, 0u64);
         for (off, row) in chunk.iter_mut().enumerate() {
             let i = start + off;
@@ -744,29 +755,30 @@ fn hamerly_pass<R: HamerlyRow>(
             if let Some(delta) = delta {
                 let b = row.bound();
                 let a = b.label as usize;
-                let (d_a, certified) =
-                    hamerly_gate(x, centroids, a, f64::from(b.lower), delta, err);
+                let d_a = label_dist(row, x);
                 comp += 1;
-                if let Some(l) = certified {
+                if let Some(l) = hamerly_gate(d_a, b.lower, delta, err) {
                     row.store(a, d_a, l);
-                    skip += k - 1;
+                    skip += k as u64 - 1;
                     continue;
                 }
                 known = Some((a, d_a));
             }
-            let (label, dist, lower) = match (filter, bufs.as_mut()) {
-                (Some((fz, x_norms)), Some(bufs)) => {
-                    let s = fz.scan(x, x_norms[i], known, bufs, |c, _, _| {
-                        ops::sqdist(x, centroids.row(c))
+            let (label, dist, lower) = match cands {
+                Candidates::Rows(centroids, None) => {
+                    let (best, best_d, runner, c) = scan_point(x, centroids, known);
+                    comp += c;
+                    (best, best_d, dist_lower(runner, err))
+                }
+                Candidates::Rows(_, Some(fz)) | Candidates::Implicit(fz, _) => {
+                    let bufs = bufs
+                        .get_or_insert_with(|| FilterBufs::take(scratch, fz, mu_len, tuple_len));
+                    let s = fz.scan(x, fz.x_norms[i], known, bufs, |c, mu, tuple| {
+                        cands.eval(x, c, mu, tuple)
                     });
                     comp += s.computed;
                     skip += s.skipped;
                     (s.label, s.dist, s.lower)
-                }
-                _ => {
-                    let (best, best_d, runner, c) = scan_point(x, centroids, known);
-                    comp += c;
-                    (best, best_d, dist_lower(runner, err))
                 }
             };
             row.store(label, dist, lower);
@@ -780,23 +792,15 @@ fn hamerly_pass<R: HamerlyRow>(
     stats.take()
 }
 
-/// The gate of one point's Hamerly step: the exact distance `d_a` to the
-/// previous label `a`, and — when `lower`, a true-distance bound on every
-/// other candidate decayed by the drift bound `delta`, certifies that
-/// every other candidate computes strictly above `d_a` — the decayed
-/// bound. Then the exhaustive argmin is uniquely `a`; otherwise the
-/// caller rescans with `d_a` known.
-fn hamerly_gate(
-    x: &[f64],
-    centroids: &Matrix,
-    a: usize,
-    lower: f64,
-    delta: f64,
-    err: f64,
-) -> (f64, Option<f64>) {
-    let d_a = ops::sqdist(x, centroids.row(a));
-    let l = decay_lower(lower, delta);
-    (d_a, (certified_floor(l, err) > d_a).then_some(l))
+/// The gate of one point's Hamerly step, given the exact distance `d_a`
+/// to its label: `lower`, a true-distance bound on every other candidate
+/// when the row was stored, decayed by the drift bound `delta`, when that
+/// certifies that every other candidate computes strictly above `d_a`.
+/// Then the exhaustive argmin is uniquely the label; otherwise the caller
+/// rescans with `d_a` known.
+fn hamerly_gate(d_a: f64, lower: f32, delta: f64, err: f64) -> Option<f64> {
+    let l = decay_lower(f64::from(lower), delta);
+    (certified_floor(l, err) > d_a).then_some(l)
 }
 
 /// Full ascending scan of one point: the exhaustive strict-`<` argmin
@@ -882,14 +886,14 @@ fn filter_applies(sets: &[Matrix], agg: Aggregator) -> bool {
 }
 
 /// The factored filter's view of one `Aggregator::Sum` grid: the factor
-/// sets, every candidate's squared norm (the `‖μ_c‖²` of its score), and
-/// the error term `E` (see the module docs).
+/// sets, every candidate's squared norm (the `‖μ_c‖²` of its score), the
+/// data's squared row norms (the `‖x‖²`), and the error term `E` (see the
+/// module docs).
 struct Factored<'a> {
     sets: &'a [Matrix],
     c_norms: &'a [f64],
+    x_norms: &'a [f64],
     total_h: usize,
-    /// Largest candidate squared norm, NaN if any is NaN.
-    max_c_sq: f64,
     e: f64,
 }
 
@@ -937,9 +941,15 @@ struct FilterScan {
 
 impl<'a> Factored<'a> {
     /// The filter for `sets` (a Sum grid, row-major flat order) whose
-    /// candidate squared norms are `c_norms`, against data whose largest
-    /// squared row norm is `max_x_sq`.
-    fn new(sets: &'a [Matrix], c_norms: &'a [f64], max_x_sq: f64, m: usize) -> Self {
+    /// candidate squared norms are `c_norms`, against data whose squared
+    /// row norms are `x_norms`, the largest `max_x_sq`.
+    fn new(
+        sets: &'a [Matrix],
+        c_norms: &'a [f64],
+        x_norms: &'a [f64],
+        max_x_sq: f64,
+        m: usize,
+    ) -> Self {
         let mut total_h = 0;
         let mut k = 1;
         let mut theta_sum = 0.0;
@@ -960,8 +970,8 @@ impl<'a> Factored<'a> {
         Factored {
             sets,
             c_norms,
+            x_norms,
             total_h,
-            max_c_sq,
             e: factored_error_bound(m, sets.len(), max_x_sq, max_c_sq, theta_sum),
         }
     }
@@ -1078,13 +1088,12 @@ impl AssignEngine {
     /// one at a time, never materialized. Bitwise identical to
     /// `exhaustive_otf` in every [`PruneMode`].
     ///
-    /// Pruning here is the single-bound structure: points whose bound
-    /// certifies their previous assignment skip the scan. Drift is
-    /// measured per factor set and combined per the aggregator
-    /// (triangle inequality for sums, a telescoping product bound for
-    /// Hadamard products). The rest go through the factored filter
-    /// point by point where it applies (module docs), and otherwise
-    /// through a tuple sweep that norm-gates each candidate
+    /// The session keeps the dense session's rows and Hamerly gate
+    /// (module docs), with drift measured per factor set and combined per
+    /// the aggregator (triangle inequality for sums, a telescoping product
+    /// bound for Hadamard products). The points the gate leaves open go
+    /// through the factored filter where it applies, and otherwise through
+    /// the tuple sweep, which norm-gates each candidate
     /// (`d(x,c) ≥ |‖x‖ − ‖c‖|`) against the running best.
     pub fn assign_otf(
         &mut self,
@@ -1098,10 +1107,6 @@ impl AssignEngine {
         debug_assert_eq!(data.shape(), (self.n, self.m), "begin_fit saw other data");
         let k = indexer.n_centroids();
         let _pass = kr_obs::span!("assign.pass", "k" => k);
-        assert!(
-            (k as u128) < (1u128 << 53),
-            "KR flat centroid index must stay below 2^53 for exact f64 label round-trips"
-        );
         if self.exec.prune_mode() == PruneMode::Off {
             exhaustive_otf(
                 data,
@@ -1118,121 +1123,51 @@ impl AssignEngine {
             return;
         }
         self.ensure_otf_session(k, sets);
+        let m = self.m;
         let scratch = self.exec.scratch().clone();
-        let mut mu = scratch.take_f64(self.m);
-        if !self.ready {
-            for row in self.state.chunks_exact_mut(OTF_STRIDE) {
-                row[0] = f64::INFINITY; // running best
-                row[1] = 0.0; // label
-                row[2] = f64::INFINITY; // runner-up
-                row[3] = f64::INFINITY; // min lower bound over skipped
-                row[4] = 0.0; // lower bound (filled by finalize)
-                row[5] = f64::INFINITY; // distance to previous label
-                row[6] = 0.0; // decided flag
-                row[7] = -1.0; // previous label (none)
-            }
-        }
-        if filter_applies(sets, agg) {
-            self.otf_filtered(data, sets, indexer, &mut mu, &scratch);
-        } else if self.ready {
-            let delta_max = self.otf_delta_max(sets, agg);
-            let radius = {
-                let r = if self.max_c_sq > 0.0 {
-                    self.max_c_sq.sqrt()
-                } else {
-                    0.0
-                };
-                r + delta_max
-            };
-            let err = kernel_error_bound(self.m, self.max_x_sq, radius * radius);
-            self.otf_phase1_decide(data, sets, indexer, agg, delta_max, err, &mut mu, &scratch);
-            self.otf_scan(data, sets, indexer, agg, err, &mut mu);
-            self.otf_finalize(err);
-        } else {
-            // err is unknown before the first sweep (it needs the max
-            // candidate norm); INFINITY disables every gate, making the
-            // init sweep exhaustive while it measures and seeds bounds.
-            self.otf_scan(data, sets, indexer, agg, f64::INFINITY, &mut mu);
-            let err = kernel_error_bound(self.m, self.max_x_sq, self.max_c_sq);
-            self.otf_finalize(err);
-        }
-        self.ready = true;
-        self.snapshot_sets(sets);
-        for (i, row) in self.state.chunks_exact(OTF_STRIDE).enumerate() {
-            dmin[i] = row[0];
-            labels[i] = row[1] as usize;
-        }
-        scratch.put_f64(mu);
-        self.close_pass();
-    }
-
-    /// The on-the-fly pass of a Sum grid the factored filter applies to:
-    /// an `O(k)`-scalar pre-pass for the candidate norms (which also
-    /// gives the exact largest norm, so the first pass filters too), the
-    /// phase-1 Hamerly decision from the second pass on, then a
-    /// point-major filtered scan of the points left undecided.
-    fn otf_filtered(
-        &mut self,
-        data: &Matrix,
-        sets: &[Matrix],
-        indexer: &CentroidIndexer,
-        mu: &mut [f64],
-        scratch: &Scratch,
-    ) {
-        let (k, m, p) = (self.k, self.m, sets.len());
-        let agg = Aggregator::Sum;
+        let mut mu = scratch.take_f64(m);
         let mut c_norms = scratch.take_f64_uninit(k);
         indexer.for_each_tuple(|flat, tuple| {
-            aggregate_tuple_into(mu, sets, tuple, agg);
-            c_norms[flat] = ops::sq_norm(mu);
+            aggregate_tuple_into(&mut mu, sets, tuple, agg);
+            c_norms[flat] = ops::sq_norm(&mu);
         });
-        let fz = Factored::new(sets, &c_norms, self.max_x_sq, m);
-        self.max_c_sq = fz.max_c_sq;
-        if self.ready {
-            let delta_max = self.otf_delta_max(sets, agg);
-            let err = kernel_error_bound(m, self.max_x_sq, fz.max_c_sq);
-            self.otf_phase1_decide(data, sets, indexer, agg, delta_max, err, mu, scratch);
-        }
-        let x_norms = &self.x_norms;
-        let stats = &self.stats;
-        parallel::map_rows_into(
-            &self.exec,
-            &mut self.state,
-            OTF_STRIDE,
-            1,
-            |start, chunk| {
-                let mut bufs = FilterBufs::take(scratch, &fz, m, p);
-                let mut comp = 0u64;
-                let mut skip = 0u64;
-                let mut upd = 0u64;
-                for (off, row) in chunk.chunks_exact_mut(OTF_STRIDE).enumerate() {
-                    if row[6] != 0.0 {
-                        continue;
-                    }
-                    let i = start + off;
-                    let x = data.row(i);
-                    // Phase 1 left the exact distance to the previous
-                    // label: the same kernel, same bits.
-                    let known = (row[7] >= 0.0).then_some((row[7] as usize, row[5]));
-                    let s = fz.scan(x, x_norms[i], known, &mut bufs, |c, mu, tuple| {
-                        indexer.to_tuple_into(c, tuple);
-                        aggregate_tuple_into(mu, sets, tuple, agg);
-                        ops::sqdist(x, mu)
-                    });
-                    row[0] = s.dist;
-                    row[1] = s.label as f64;
-                    row[4] = s.lower;
-                    comp += s.computed;
-                    skip += s.skipped;
-                    upd += 1;
-                }
-                stats.add(comp, skip, upd);
-                bufs.put(scratch);
-            },
-        );
+        let err = kernel_error_bound(m, self.max_x_sq, max_entry(&c_norms));
+        let delta = self.ready.then(|| {
+            self.otf_label_dists(data, sets, indexer, agg, &mut mu);
+            self.otf_delta_max(sets, agg)
+        });
+        let pass = if filter_applies(sets, agg) {
+            let fz = Factored::new(sets, &c_norms, &self.x_norms, self.max_x_sq, m);
+            let cands = Candidates::Implicit(&fz, indexer);
+            hamerly_pass(
+                &mut self.rows,
+                data,
+                cands,
+                |r, _| r.dist,
+                delta,
+                err,
+                &self.exec,
+            )
+        } else {
+            let sweep = Sweep {
+                data,
+                sets,
+                indexer,
+                agg,
+                c_norms: &c_norms,
+                x_norms: &self.x_norms,
+                err,
+            };
+            sweep.pass(&mut self.rows, delta, &self.exec)
+        };
+        self.snapshot_sets(sets);
         scratch.put_f64(c_norms);
+        scratch.put_f64(mu);
+        self.finish_pass(pass, labels, dmin);
     }
 
+    /// Starts an on-the-fly session for `k` centroids from factor sets of
+    /// `sets`' shapes unless one is open, with a snapshot of the sets.
     fn ensure_otf_session(&mut self, k: usize, sets: &[Matrix]) {
         let dims_ok = self.prev_sets_dims.len() == sets.len()
             && self
@@ -1240,19 +1175,11 @@ impl AssignEngine {
                 .iter()
                 .zip(sets.iter())
                 .all(|(d, s)| *d == s.shape());
-        if self.session == SessionKind::Otf
-            && self.k == k
-            && dims_ok
-            && self.state.len() == self.n * OTF_STRIDE
-        {
+        if self.session == SessionKind::Otf && self.k == k && dims_ok {
             return;
         }
-        self.session = SessionKind::Otf;
-        self.k = k;
-        self.ready = false;
-        self.rows = Vec::new();
+        self.open_session(SessionKind::Otf, k);
         let scratch = self.exec.scratch().clone();
-        resize_buf(&scratch, &mut self.state, self.n * OTF_STRIDE);
         for buf in self.prev_sets.drain(..) {
             scratch.put_f64(buf);
         }
@@ -1327,174 +1254,203 @@ impl AssignEngine {
         total * (1.0 + 1e-9)
     }
 
-    /// Serial pre-pass: one exact distance per point (to its previous
-    /// candidate, aggregated once per occupied label via a counting
-    /// sort), deciding which points are certified before the tuple
-    /// sweep. The value is the exact kernel against the same aggregated
-    /// centroid, so it doubles as the exhaustive result for decided
-    /// points.
-    #[allow(clippy::too_many_arguments)]
-    fn otf_phase1_decide(
+    /// The gate distances of an on-the-fly pass: stores in each row the
+    /// exact distance from its point to its label's current centroid. A
+    /// counting sort by label orders the points, so each occupied
+    /// candidate is aggregated once, into `mu`. The kernel and the
+    /// aggregate are a scan's, so a rescan that meets the label reuses
+    /// these bits.
+    fn otf_label_dists(
         &mut self,
         data: &Matrix,
         sets: &[Matrix],
         indexer: &CentroidIndexer,
         agg: Aggregator,
-        delta_max: f64,
-        err: f64,
         mu: &mut [f64],
-        scratch: &Scratch,
     ) {
-        let n = self.n;
-        let k = self.k;
-        let p = indexer.n_sets();
-        let mut starts = scratch.take_usize(k + 1);
-        for row in self.state.chunks_exact(OTF_STRIDE) {
-            starts[row[1] as usize + 1] += 1;
+        let scratch = self.exec.scratch().clone();
+        let mut end = scratch.take_usize(self.k + 1);
+        for row in &self.rows {
+            end[row.bound.label as usize + 1] += 1;
         }
-        for c in 0..k {
-            starts[c + 1] += starts[c];
+        for c in 0..self.k {
+            end[c + 1] += end[c];
         }
-        let mut order = scratch.take_usize(n);
-        let mut cursor = scratch.take_usize(k);
-        for (i, row) in self.state.chunks_exact(OTF_STRIDE).enumerate() {
-            let a = row[1] as usize;
-            order[starts[a] + cursor[a]] = i;
-            cursor[a] += 1;
+        let mut order = scratch.take_usize(self.n);
+        for (i, row) in self.rows.iter().enumerate() {
+            let a = row.bound.label as usize;
+            order[end[a]] = i;
+            end[a] += 1;
         }
-        let mut tuple = scratch.take_usize(p);
-        let state = &mut self.state;
-        let mut comp = 0u64;
-        let mut skip = 0u64;
-        for a in 0..k {
-            let (s, e) = (starts[a], starts[a + 1]);
-            if s == e {
-                continue;
-            }
-            indexer.to_tuple_into(a, &mut tuple);
-            aggregate_tuple_into(mu, sets, &tuple, agg);
-            for &i in &order[s..e] {
-                let row = &mut state[i * OTF_STRIDE..(i + 1) * OTF_STRIDE];
-                let d_a = ops::sqdist(data.row(i), mu);
-                comp += 1;
-                let l = decay_lower(row[4], delta_max);
-                row[4] = l;
-                row[5] = d_a;
-                row[7] = a as f64;
-                if certified_floor(l, err) > d_a {
-                    row[0] = d_a;
-                    row[1] = a as f64;
-                    row[6] = 1.0;
-                    skip += k as u64 - 1;
-                } else {
-                    row[0] = f64::INFINITY;
-                    row[1] = 0.0;
-                    row[2] = f64::INFINITY;
-                    row[3] = f64::INFINITY;
-                    row[6] = 0.0;
+        // `end[a]` now ends label a's run, which starts where a − 1's ends.
+        let mut tuple = scratch.take_usize(indexer.n_sets());
+        let mut start = 0;
+        for (a, &stop) in end[..self.k].iter().enumerate() {
+            if start < stop {
+                indexer.to_tuple_into(a, &mut tuple);
+                aggregate_tuple_into(mu, sets, &tuple, agg);
+                for &i in &order[start..stop] {
+                    self.rows[i].dist = ops::sqdist(data.row(i), mu);
                 }
             }
+            start = stop;
         }
-        self.stats.add(comp, skip, 0);
         scratch.put_usize(tuple);
-        scratch.put_usize(cursor);
         scratch.put_usize(order);
-        scratch.put_usize(starts);
+        scratch.put_usize(end);
     }
+}
 
-    /// The tuple sweep: aggregates every candidate once (as the
-    /// exhaustive path must), then updates only undecided points, each
-    /// either norm-gated against its running best or evaluated with the
-    /// exact kernel — reusing the phase-1 bits when the candidate *is*
-    /// the previous assignment.
-    fn otf_scan(
-        &mut self,
-        data: &Matrix,
-        sets: &[Matrix],
-        indexer: &CentroidIndexer,
-        agg: Aggregator,
-        err: f64,
-        mu: &mut [f64],
-    ) {
-        self.ensure_norm_bounds();
-        let m = self.m;
-        let x_lo = &self.x_lo;
-        let x_hi = &self.x_hi;
-        let stats = &self.stats;
-        let exec = &self.exec;
-        let state = &mut self.state;
-        let mut max_mu = 0.0;
-        indexer.for_each_tuple(|flat, tuple| {
-            aggregate_tuple_into(mu, sets, tuple, agg);
-            let mu_norm = ops::sq_norm(mu);
-            if mu_norm > max_mu {
-                max_mu = mu_norm;
-            }
-            let mu_lo = norm_lower(mu_norm, m);
-            let mu_hi = norm_upper(mu_norm, m);
-            let flat_f = flat as f64;
-            let mu_ref: &[f64] = mu;
-            parallel::map_rows_into(exec, state, OTF_STRIDE, 1, |start, chunk| {
-                let mut comp = 0u64;
-                let mut skip = 0u64;
-                for (off, row) in chunk.chunks_exact_mut(OTF_STRIDE).enumerate() {
-                    if row[6] != 0.0 {
-                        continue;
-                    }
-                    let i = start + off;
-                    let d;
-                    if row[7] == flat_f {
-                        // The previous assignment: phase 1 computed this
-                        // distance already — same bits.
-                        d = row[5];
-                    } else {
-                        let cur = row[0];
-                        let d_prev = row[5];
-                        let gate = if cur < d_prev { cur } else { d_prev };
-                        let mut lb = x_lo[i] - mu_hi;
-                        let alt = mu_lo - x_hi[i];
-                        if alt > lb {
-                            lb = alt;
-                        }
-                        if certified_floor(lb, err) > gate {
-                            if lb < row[3] {
-                                row[3] = lb;
-                            }
-                            skip += 1;
+/// Open points one sweep block holds: a chunk's sweep state is bounded
+/// by it, whatever the chunk's size, and stays in cache.
+const SWEEP_BLOCK: usize = 256;
+
+/// The tuple sweep of an on-the-fly pass over a grid the factored filter
+/// does not apply to: Product grids, and Sum grids with `Σ h_l ≥ ∏ h_l`.
+struct Sweep<'a> {
+    data: &'a Matrix,
+    sets: &'a [Matrix],
+    indexer: &'a CentroidIndexer,
+    agg: Aggregator,
+    /// Every candidate's squared norm, from the norm pre-pass.
+    c_norms: &'a [f64],
+    x_norms: &'a [f64],
+    err: f64,
+}
+
+impl Sweep<'_> {
+    /// One chunk-parallel pass over `rows`: each point takes
+    /// [`hamerly_pass`]'s gate, with the distance to its label read from
+    /// its row, and the open points are swept in blocks. Returns the
+    /// pass's counters, one bound update per swept point.
+    ///
+    /// # Panics
+    /// Panics on more than 2^32 centroids (labels are `u32`).
+    fn pass(&self, rows: &mut [DistRow], delta: Option<f64>, exec: &ExecCtx) -> PruneStats {
+        let k = self.c_norms.len() as u64;
+        assert!(k <= 1 << 32, "u32 labels need at most 2^32 centroids");
+        let stats = SharedStats::default();
+        let scratch = exec.scratch();
+        parallel::map_rows_into(exec, rows, 1, 1, |start, chunk| {
+            // The block's offsets in the chunk, then its labels and a tuple;
+            // its per-point values, then an aggregated candidate.
+            let mut idx = scratch.take_usize(2 * SWEEP_BLOCK + self.sets.len());
+            let mut vals = scratch.take_f64_uninit(5 * SWEEP_BLOCK + self.data.ncols());
+            let (at, rest) = idx.split_at_mut(SWEEP_BLOCK);
+            let (mut comp, mut skip, mut upd) = (0u64, 0u64, 0u64);
+            let mut next = 0;
+            while next < chunk.len() {
+                let mut len = 0;
+                while len < SWEEP_BLOCK && next < chunk.len() {
+                    let row = &mut chunk[next];
+                    next += 1;
+                    if let Some(delta) = delta {
+                        comp += 1;
+                        if let Some(l) = hamerly_gate(row.dist, row.bound.lower, delta, self.err) {
+                            row.store(row.bound.label as usize, row.dist, l);
+                            skip += k - 1;
                             continue;
                         }
-                        d = ops::sqdist(data.row(i), mu_ref);
-                        comp += 1;
                     }
-                    if d < row[0] {
-                        row[2] = row[0];
-                        row[0] = d;
-                        row[1] = flat_f;
-                    } else if d < row[2] {
-                        row[2] = d;
-                    }
+                    at[len] = next - 1;
+                    len += 1;
                 }
-                stats.add(comp, skip, 0);
-            });
+                if len > 0 {
+                    let known = delta.is_some();
+                    let (c, s) = self.sweep_block(&at[..len], rest, &mut vals, start, chunk, known);
+                    comp += c;
+                    skip += s;
+                    upd += len as u64;
+                }
+            }
+            stats.add(comp, skip, upd);
+            scratch.put_f64(vals);
+            scratch.put_usize(idx);
         });
-        self.max_c_sq = max_mu;
+        stats.take()
     }
 
-    /// Re-tightens the per-point lower bound after a sweep: the minimum
-    /// of the runner-up's certified distance and the smallest lower
-    /// bound among norm-gated candidates — both valid on every
-    /// non-winning candidate, so their min bounds all of them.
-    fn otf_finalize(&mut self, err: f64) {
-        let mut upd = 0u64;
-        for row in self.state.chunks_exact_mut(OTF_STRIDE) {
-            if row[6] != 0.0 {
-                continue;
-            }
-            let lr = dist_lower(row[2], err);
-            row[4] = if row[3] < lr { row[3] } else { lr };
-            upd += 1;
+    /// Sweeps the open points at offsets `at` of `chunk` (which starts at
+    /// point `start`): every candidate once, in flat order, aggregated,
+    /// and per point either norm-gated against the smaller of its running
+    /// best and (when `known`) the distance to its label in its row, or
+    /// evaluated with the exact kernel, the label's bits reused. Stores
+    /// each point's winner with its distance and the smaller of the
+    /// runner-up's bound and the smallest norm-gate bound, both valid on
+    /// every non-winning candidate. Returns `(computed, skipped)`.
+    fn sweep_block(
+        &self,
+        at: &[usize],
+        idx: &mut [usize],
+        vals: &mut [f64],
+        start: usize,
+        chunk: &mut [DistRow],
+        known: bool,
+    ) -> (u64, u64) {
+        let (m, len) = (self.data.ncols(), at.len());
+        let (label, tuple) = idx.split_at_mut(SWEEP_BLOCK);
+        let (best, vals) = vals.split_at_mut(SWEEP_BLOCK);
+        let (runner, vals) = vals.split_at_mut(SWEEP_BLOCK);
+        let (gated, vals) = vals.split_at_mut(SWEEP_BLOCK);
+        let (x_lo, vals) = vals.split_at_mut(SWEEP_BLOCK);
+        let (x_hi, mu) = vals.split_at_mut(SWEEP_BLOCK);
+        let (label, best, runner) = (&mut label[..len], &mut best[..len], &mut runner[..len]);
+        let (gated, x_lo, x_hi) = (&mut gated[..len], &mut x_lo[..len], &mut x_hi[..len]);
+        for (j, &off) in at.iter().enumerate() {
+            let xn = self.x_norms[start + off];
+            x_lo[j] = norm_lower(xn, m);
+            x_hi[j] = norm_upper(xn, m);
+            label[j] = 0;
+            best[j] = f64::INFINITY;
+            runner[j] = f64::INFINITY;
+            gated[j] = f64::INFINITY;
         }
-        self.stats.add(0, 0, upd);
+        let (mut comp, mut skip) = (0u64, 0u64);
+        for (c, &c_norm) in self.c_norms.iter().enumerate() {
+            self.indexer.to_tuple_into(c, tuple);
+            aggregate_tuple_into(mu, self.sets, tuple, self.agg);
+            let (mu_lo, mu_hi) = (norm_lower(c_norm, m), norm_upper(c_norm, m));
+            for (j, &off) in at.iter().enumerate() {
+                let row = &chunk[off];
+                let (ka, kd) = if known {
+                    (row.bound.label as usize, row.dist)
+                } else {
+                    (usize::MAX, f64::INFINITY)
+                };
+                let d = if ka == c {
+                    kd
+                } else {
+                    let gate = if best[j] < kd { best[j] } else { kd };
+                    let mut lb = x_lo[j] - mu_hi;
+                    let alt = mu_lo - x_hi[j];
+                    if alt > lb {
+                        lb = alt;
+                    }
+                    if certified_floor(lb, self.err) > gate {
+                        if lb < gated[j] {
+                            gated[j] = lb;
+                        }
+                        skip += 1;
+                        continue;
+                    }
+                    comp += 1;
+                    ops::sqdist(self.data.row(start + off), mu)
+                };
+                if d < best[j] {
+                    runner[j] = best[j];
+                    best[j] = d;
+                    label[j] = c;
+                } else if d < runner[j] {
+                    runner[j] = d;
+                }
+            }
+        }
+        for (j, &off) in at.iter().enumerate() {
+            let lr = dist_lower(runner[j], self.err);
+            let lower = if gated[j] < lr { gated[j] } else { lr };
+            chunk[off].store(label[j], best[j], lower);
+        }
+        (comp, skip)
     }
 }
 
@@ -1502,9 +1458,6 @@ impl Drop for AssignEngine {
     fn drop(&mut self) {
         let scratch = self.exec.scratch().clone();
         scratch.put_f64(std::mem::take(&mut self.x_norms));
-        scratch.put_f64(std::mem::take(&mut self.x_lo));
-        scratch.put_f64(std::mem::take(&mut self.x_hi));
-        scratch.put_f64(std::mem::take(&mut self.state));
         scratch.put_f64(std::mem::take(&mut self.prev));
         for buf in self.prev_sets.drain(..) {
             scratch.put_f64(buf);
@@ -1563,12 +1516,17 @@ pub(crate) fn exhaustive_dense(
 /// The exhaustive on-the-fly scan over the implicit Khatri-Rao grid —
 /// the reference every pruned [`AssignEngine::assign_otf`] run must
 /// match bitwise. Enumerates all centroid combinations holding one
-/// aggregated centroid at a time (Algorithm 1 lines 7-14 of the paper).
+/// aggregated centroid at a time (Algorithm 1 lines 7-14 of the paper):
+/// one chunk-parallel pass, in which each chunk walks every candidate in
+/// flat order and keeps its points' running minimum, so a point's result
+/// does not depend on the chunk split.
 ///
-/// Temporaries — the per-point `(dmin, label)` running state (width-2
-/// f64 rows; flat labels round-trip exactly through f64 below 2^53) and
-/// the single aggregated centroid — recycle through `exec`'s [`Scratch`]
-/// arena across Lloyd iterations.
+/// Temporaries — the per-point `(label, dmin)` running state (width-2
+/// f64 rows, as in [`exhaustive_dense`]; a grid
+/// [`crate::operator::checked_grid_size`] accepts has at most 2^32
+/// candidates, whose flat labels round-trip exactly) and each chunk's
+/// aggregated centroid — recycle through `exec`'s [`Scratch`] arena
+/// across Lloyd iterations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exhaustive_otf(
     data: &Matrix,
@@ -1581,47 +1539,38 @@ pub(crate) fn exhaustive_otf(
     stats: Option<&SharedStats>,
 ) {
     let n = data.nrows();
-    let m = data.ncols();
-    // Flat labels ride through the f64 state buffer below; the
-    // round-trip is exact only while every label fits in f64's integer
-    // range. The KR flat index is the *product* of the set sizes, so
-    // unlike a materialized centroid matrix this can overflow 2^53
-    // without exhausting memory first — enforce it.
-    assert!(
-        (indexer.n_centroids() as u128) < (1u128 << 53),
-        "KR flat centroid index must stay below 2^53 for exact f64 label round-trips"
-    );
+    let k = indexer.n_centroids();
     let scratch = exec.scratch();
-    let mut state = scratch.take_f64_uninit(2 * n);
-    for slot in state.chunks_exact_mut(2) {
-        slot[0] = f64::INFINITY;
-        slot[1] = 0.0;
-    }
-    let mut mu = scratch.take_f64(m);
-    indexer.for_each_tuple(|flat, tuple| {
-        aggregate_tuple_into(&mut mu, sets, tuple, agg);
-        let mu_ref = &mu;
-        parallel::map_rows_into(exec, &mut state, 2, 1, |start, chunk| {
-            let mut rows = 0u64;
+    let mut buf = scratch.take_f64_uninit(2 * n);
+    parallel::map_rows_into(exec, &mut buf, 2, 1, |start, chunk| {
+        for slot in chunk.chunks_exact_mut(2) {
+            slot[0] = 0.0;
+            slot[1] = f64::INFINITY;
+        }
+        let mut mu = scratch.take_f64(data.ncols());
+        let mut tuple = scratch.take_usize(indexer.n_sets());
+        for c in 0..k {
+            indexer.to_tuple_into(c, &mut tuple);
+            aggregate_tuple_into(&mut mu, sets, &tuple, agg);
             for (off, slot) in chunk.chunks_exact_mut(2).enumerate() {
-                let d = ops::sqdist(data.row(start + off), mu_ref);
-                if d < slot[0] {
-                    slot[0] = d;
-                    slot[1] = flat as f64;
+                let d = ops::sqdist(data.row(start + off), &mu);
+                if d < slot[1] {
+                    slot[0] = c as f64;
+                    slot[1] = d;
                 }
-                rows += 1;
             }
-            if let Some(s) = stats {
-                s.add(rows, 0, 0);
-            }
-        });
+        }
+        scratch.put_usize(tuple);
+        scratch.put_f64(mu);
+        if let Some(s) = stats {
+            s.add((chunk.len() / 2 * k) as u64, 0, 0);
+        }
     });
-    for (i, slot) in state.chunks_exact(2).enumerate() {
-        dmin[i] = slot[0];
-        labels[i] = slot[1] as usize;
+    for (i, pair) in buf.chunks_exact(2).enumerate() {
+        labels[i] = pair[0] as usize;
+        dmin[i] = pair[1];
     }
-    scratch.put_f64(mu);
-    scratch.put_f64(state);
+    scratch.put_f64(buf);
 }
 
 /// Hamerly bounds kept for one fixed dataset across calls with moving
@@ -1682,7 +1631,15 @@ impl ResidentBounds {
         };
         self.k = k;
         let err = kernel_error_bound(data.ncols(), self.max_x_sq, max_sq_norm(centroids));
-        hamerly_pass(&mut self.rows, data, centroids, delta, err, None, exec)
+        hamerly_pass(
+            &mut self.rows,
+            data,
+            Candidates::Rows(centroids, None),
+            |r, x| ops::sqdist(x, centroids.row(r.label as usize)),
+            delta,
+            err,
+            exec,
+        )
     }
 
     /// The label of point `i` from the last [`ResidentBounds::assign`].
@@ -1957,7 +1914,7 @@ mod tests {
                         let (mut c_norms, mut x_norms) = (Vec::new(), Vec::new());
                         grid.row_sq_norms_into(&mut c_norms);
                         data.row_sq_norms_into(&mut x_norms);
-                        let fz = Factored::new(&sets, &c_norms, max_or_nan(&x_norms), m);
+                        let fz = Factored::new(&sets, &c_norms, &x_norms, max_or_nan(&x_norms), m);
                         assert!(fz.e.is_finite() && fz.e > 0.0);
                         let mut dots = vec![0.0; fz.total_h];
                         let mut scores = vec![0.0; grid.nrows()];
@@ -2174,18 +2131,21 @@ mod tests {
         assert_eq!(f32_toward_zero(two_128), f32::MAX);
     }
 
-    /// The row sizes the heap figures rest on, and the shared pass where
+    /// The row sizes the heap figures rest on, and the shared rows where
     /// true distances leave `f32`'s range: at 1e40 every stored bound
     /// saturates at `f32::MAX`, at 1e-44 bounds flush toward zero through
     /// the subnormals. Over 8 drifting passes the dense engine, the grid
-    /// engine on a Sum 4+4 grid (the factored filter) and
-    /// `ResidentBounds` stay bitwise equal to the exhaustive scan.
+    /// engine on a Sum 4+4 grid (the factored filter), `ResidentBounds`,
+    /// and the on-the-fly engine on that grid (the filter) and on a
+    /// Product 4+4 grid (the tuple sweep) stay bitwise equal to the
+    /// exhaustive scan.
     #[test]
     fn shared_rows_match_exhaustive_outside_f32_range() {
         assert_eq!(std::mem::size_of::<CompactRow>(), 8);
         assert_eq!(std::mem::size_of::<DistRow>(), 16);
         let (n, m) = (160, 3);
         let agg = Aggregator::Sum;
+        let indexer = CentroidIndexer::new(vec![4, 4]);
         let exec = ExecCtx::serial().with_prune_mode(PruneMode::On);
         for scale in [1e40, 1e-44] {
             // Eight blobs on a grid, with jitter.
@@ -2200,29 +2160,57 @@ mod tests {
                     })
                 })
                 .collect();
+            // Product factors of √scale, whose products sit at `scale`.
+            let root = scale.sqrt();
+            let mut factors: Vec<Matrix> = (0..2)
+                .map(|l| {
+                    Matrix::from_fn(4, m, |i, j| {
+                        root * (0.5 + ((i * 3 + j + l) % 5) as f64 * (0.4 + l as f64))
+                    })
+                })
+                .collect();
             assert!(filter_applies(&sets, agg));
-            let mut dense = AssignEngine::new(&exec);
-            dense.begin_fit(&data);
-            let mut grid_engine = AssignEngine::new(&exec);
-            grid_engine.begin_fit(&data);
+            assert!(!filter_applies(&factors, Aggregator::Product));
+            let engine = || {
+                let mut e = AssignEngine::new(&exec);
+                e.begin_fit(&data);
+                e
+            };
+            let (mut dense, mut grid_engine, mut otf, mut sweep) =
+                (engine(), engine(), engine(), engine());
             let mut resident = ResidentBounds::new(&data);
             let mut prev: Option<Matrix> = None;
             let (mut labels, mut dmin) = (vec![0usize; n], vec![0.0f64; n]);
             let (mut rl, mut rd) = (vec![0usize; n], vec![0.0f64; n]);
+            let (mut pl, mut pd) = (vec![0usize; n], vec![0.0f64; n]);
             for it in 0..8 {
                 let grid = crate::operator::khatri_rao(&sets, agg).unwrap();
                 exhaustive_dense(&data, &grid, &mut rl, &mut rd, &exec, None);
+                let product = crate::operator::khatri_rao(&factors, Aggregator::Product).unwrap();
+                exhaustive_dense(&data, &product, &mut pl, &mut pd, &exec, None);
                 let ctx = format!("scale {scale:e} iter {it}");
-                let check = |labels: &[usize], dmin: &[f64], path: &str| {
+                let check = |labels: &[usize], dmin: &[f64], (rl, rd): (&[usize], &[f64]), path| {
                     assert_eq!(labels, rl, "{ctx} {path}");
-                    for (i, (a, b)) in dmin.iter().zip(&rd).enumerate() {
+                    for (i, (a, b)) in dmin.iter().zip(rd).enumerate() {
                         assert_eq!(a.to_bits(), b.to_bits(), "{ctx} {path} point {i}");
                     }
                 };
                 dense.assign_dense(&data, &grid, &mut labels, &mut dmin);
-                check(&labels, &dmin, "dense");
+                check(&labels, &dmin, (&rl, &rd), "dense");
                 grid_engine.assign_grid(&data, &grid, &sets, agg, &mut labels, &mut dmin);
-                check(&labels, &dmin, "grid");
+                check(&labels, &dmin, (&rl, &rd), "grid");
+                otf.assign_otf(&data, &sets, &indexer, agg, &mut labels, &mut dmin);
+                check(&labels, &dmin, (&rl, &rd), "on the fly");
+                let product_agg = Aggregator::Product;
+                sweep.assign_otf(
+                    &data,
+                    &factors,
+                    &indexer,
+                    product_agg,
+                    &mut labels,
+                    &mut dmin,
+                );
+                check(&labels, &dmin, (&pl, &pd), "sweep");
                 let drift = prev
                     .as_ref()
                     .map(|p| max_drift(&grid, |c, out| out.copy_from_slice(p.row(c))));
@@ -2231,10 +2219,14 @@ mod tests {
                     assert_eq!(resident.label(i), want, "{ctx} resident point {i}");
                 }
                 prev = Some(grid);
-                for (l, s) in sets.iter_mut().enumerate() {
+                for (l, (s, f)) in sets.iter_mut().zip(factors.iter_mut()).enumerate() {
                     for r in 0..s.nrows() {
+                        let step = 0.02 * ((r + l + it) % 3) as f64;
                         for v in s.row_mut(r).iter_mut() {
-                            *v += scale * 0.02 * ((r + l + it) % 3) as f64;
+                            *v += scale * step;
+                        }
+                        for v in f.row_mut(r).iter_mut() {
+                            *v += root * step;
                         }
                     }
                 }
@@ -2248,7 +2240,12 @@ mod tests {
                 }
             };
             assert!(resident.rows.iter().all(edge), "scale {scale:e}");
-            assert!(dense.rows.iter().all(|r| edge(&r.bound)), "scale {scale:e}");
+            for (e, path) in [(&dense, "dense"), (&otf, "on the fly"), (&sweep, "sweep")] {
+                assert!(
+                    e.rows.iter().all(|r| edge(&r.bound)),
+                    "scale {scale:e} {path}"
+                );
+            }
         }
     }
 
@@ -2301,8 +2298,9 @@ mod tests {
 
     /// Drives both KR engines — on the fly, and on the materialized grid
     /// — over drifting factor sets and pins them bitwise to the
-    /// exhaustive scans, both aggregators. The Sum 3+4 grid goes through
-    /// the factored filter; 2+2 and the Product grid do not.
+    /// exhaustive scans, both aggregators, and the on-the-fly reference to
+    /// the dense one on the materialized grid. The Sum 3+4 grid goes
+    /// through the factored filter; 2+2 and the Product grid do not.
     #[test]
     fn kr_engines_match_exhaustive_bitwise() {
         let n = 40;
@@ -2328,13 +2326,13 @@ mod tests {
             grid_engine.begin_fit(&data);
             let mut labels = vec![0usize; n];
             let mut dmin = vec![0.0f64; n];
-            let mut rl = vec![0usize; n];
-            let mut rd = vec![0.0f64; n];
+            let (mut rl, mut rd) = (vec![0usize; n], vec![0.0f64; n]);
+            let (mut ol, mut od) = (vec![0usize; n], vec![0.0f64; n]);
             for it in 0..5 {
                 otf.assign_otf(&data, &sets, &indexer, agg, &mut labels, &mut dmin);
-                exhaustive_otf(&data, &sets, &indexer, agg, &mut rl, &mut rd, &exec, None);
-                assert_eq!(labels, rl, "otf {agg:?} iter {it}");
-                for (i, (a, b)) in dmin.iter().zip(rd.iter()).enumerate() {
+                exhaustive_otf(&data, &sets, &indexer, agg, &mut ol, &mut od, &exec, None);
+                assert_eq!(labels, ol, "otf {agg:?} iter {it}");
+                for (i, (a, b)) in dmin.iter().zip(od.iter()).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "otf {agg:?} iter {it} point {i}");
                 }
                 let grid = crate::operator::khatri_rao(&sets, agg).unwrap();
@@ -2343,6 +2341,14 @@ mod tests {
                 assert_eq!(labels, rl, "grid {agg:?} iter {it}");
                 for (i, (a, b)) in dmin.iter().zip(rd.iter()).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "grid {agg:?} iter {it} point {i}");
+                }
+                assert_eq!(ol, rl, "references {agg:?} iter {it}");
+                for (i, (a, b)) in od.iter().zip(rd.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "references {agg:?} iter {it} point {i}"
+                    );
                 }
                 // Small factor drift (iteration 3 keeps everything
                 // still: the zero-drift certification path).

@@ -949,12 +949,15 @@ mod tests {
         let data = Matrix::zeros(10, 2);
         assert!(KrKMeans::new(vec![]).fit(&data).is_err());
         assert!(KrKMeans::new(vec![3, 0]).fit(&data).is_err());
-        // 2^64 centroids wrap usize to 0; the grid must be refused.
+        // 2^64 centroids wrap usize to 0, and 2^33 overflow the `u32`
+        // labels; both grids must be refused.
         for variant in [KrVariant::TimeEfficient, KrVariant::MemoryEfficient] {
-            assert!(matches!(
-                KrKMeans::new(vec![2; 64]).with_variant(variant).fit(&data),
-                Err(CoreError::InvalidConfig(_))
-            ));
+            for hs in [vec![2; 64], vec![1 << 17, 1 << 16]] {
+                assert!(matches!(
+                    KrKMeans::new(hs).with_variant(variant).fit(&data),
+                    Err(CoreError::InvalidConfig(_))
+                ));
+            }
         }
         let tiny = Matrix::zeros(2, 2);
         assert!(matches!(

@@ -108,9 +108,8 @@ impl CentroidIndexer {
 /// The grid size `∏ h_l` of protocentroid set sizes `hs`.
 ///
 /// Returns [`CoreError::InvalidConfig`] when `hs` is empty, holds a zero,
-/// or its product overflows or reaches 2^53: flat labels round-trip
-/// through `f64` buffers in the assignment step, which hold every
-/// integer below 2^53 exactly.
+/// or its product overflows or exceeds 2^32: the assignment step stores
+/// each point's flat label as a `u32`.
 pub fn checked_grid_size(hs: &[usize]) -> Result<usize> {
     if hs.is_empty() || hs.contains(&0) {
         return Err(CoreError::InvalidConfig(
@@ -119,10 +118,10 @@ pub fn checked_grid_size(hs: &[usize]) -> Result<usize> {
     }
     hs.iter()
         .try_fold(1usize, |k, &h| k.checked_mul(h))
-        .filter(|&k| k < 1 << 53)
+        .filter(|&k| k as u64 <= 1 << 32)
         .ok_or_else(|| {
             CoreError::InvalidConfig(format!(
-                "{} protocentroid sets span 2^53 or more centroids",
+                "{} protocentroid sets span more than 2^32 centroids",
                 hs.len()
             ))
         })
@@ -271,11 +270,13 @@ mod tests {
     #[test]
     fn grid_sizes_stay_below_the_label_bound() {
         assert_eq!(checked_grid_size(&[3, 4, 2]).unwrap(), 24);
-        assert_eq!(
-            checked_grid_size(&[1 << 26, (1 << 27) - 1]).unwrap(),
-            (1 << 53) - (1 << 26)
-        );
-        for hs in [vec![], vec![3, 0], vec![1 << 26, 1 << 27], vec![2; 64]] {
+        assert_eq!(checked_grid_size(&[1 << 16, 1 << 16]).unwrap(), 1 << 32);
+        for hs in [
+            vec![],
+            vec![3, 0],
+            vec![1 << 16, (1 << 16) + 1],
+            vec![2; 64],
+        ] {
             assert!(
                 matches!(checked_grid_size(&hs), Err(CoreError::InvalidConfig(_))),
                 "{hs:?}"

@@ -367,12 +367,36 @@ fn pooled(workers: usize, kernel: KernelMode) -> ExecCtx {
 }
 
 /// The small-k, large-n regime (k = 16 on 1200×16 blobs, so k² ≤ n and
-/// k ≤ 4m), which no ragged case reaches: `KMeans(16)` and a warm-started
-/// KR-+ 4+4 grid fit with pruning on equal the exhaustive fit bitwise at
-/// 1/2/8 workers in both kernel modes, and the bounds do skip work.
+/// k ≤ 4m), which no ragged case reaches: `KMeans(16)`, a warm-started
+/// KR-+ 4+4 grid fit, and two on-the-fly fits that take the tuple sweep
+/// (KR-x 4+4 on the blobs mapped to |x| + 1, and KR-+ 2+2) with pruning on
+/// equal the exhaustive fit bitwise at 1/2/8 workers in both kernel
+/// modes, and the bounds do skip work. 1200 points span several sweep
+/// blocks and cross the chunk boundaries.
 #[test]
 fn small_k_large_n_fits_pruned_equal_exhaustive() {
     let data = kr_datasets::synthetic::blobs(1200, 16, 16, 1.0, 19).data;
+    let positive = Matrix::from_fn(1200, 16, |i, j| data.get(i, j).abs() + 1.0);
+    let otf = |hs: Vec<usize>, agg: Aggregator, data: &Matrix, exec: ExecCtx| {
+        KrKMeans::new(hs)
+            .with_aggregator(agg)
+            .with_variant(KrVariant::MemoryEfficient)
+            .with_warm_start(false)
+            .with_seed(23)
+            .with_n_init(2)
+            .with_exec(exec)
+            .fit(data)
+            .unwrap()
+    };
+    let sweeps = [
+        (
+            "KR-x 4+4 on the fly",
+            vec![4, 4],
+            Aggregator::Product,
+            &positive,
+        ),
+        ("KR-+ 2+2 on the fly", vec![2, 2], Aggregator::Sum, &data),
+    ];
     let kmeans = |exec: ExecCtx| {
         KMeans::new(16)
             .with_seed(23)
@@ -396,7 +420,11 @@ fn small_k_large_n_fits_pruned_equal_exhaustive() {
             .with_kernel_mode(kernel)
             .with_prune_mode(PruneMode::Off);
         let km_ref = kmeans(off.clone());
-        let kr_ref = kr(off);
+        let kr_ref = kr(off.clone());
+        let sweep_refs: Vec<_> = sweeps
+            .iter()
+            .map(|(_, hs, agg, data)| otf(hs.clone(), *agg, data, off.clone()))
+            .collect();
         for workers in [1usize, 2, 8] {
             let ctx = format!("{kernel:?} workers {workers}");
             let km = kmeans(pooled(workers, kernel));
@@ -417,6 +445,23 @@ fn small_k_large_n_fits_pruned_equal_exhaustive() {
                 "KR-+ {ctx}"
             );
             assert!(grid.prune_stats.dists_skipped > 0, "KR-+ {ctx}: no skips");
+            for ((name, hs, agg, data), reference) in sweeps.iter().zip(&sweep_refs) {
+                let model = otf(hs.clone(), *agg, data, pooled(workers, kernel));
+                assert_eq!(model.labels, reference.labels, "{name} {ctx}");
+                assert_eq!(
+                    model.protocentroids, reference.protocentroids,
+                    "{name} {ctx}"
+                );
+                assert_eq!(
+                    model.inertia.to_bits(),
+                    reference.inertia.to_bits(),
+                    "{name} {ctx}"
+                );
+                assert!(
+                    model.prune_stats.dists_skipped > 0,
+                    "{name} {ctx}: no skips"
+                );
+            }
         }
     }
 }

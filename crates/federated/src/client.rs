@@ -483,8 +483,8 @@ mod tests {
             Summary::Centroids(
                 Matrix::from_rows(&[vec![f64::NAN, f64::NAN], vec![f64::NAN, 0.0]]).unwrap(),
             ),
-            // 2^33 centroids: below the 2^53 label limit but past the
-            // client's u32 labels, refused from the set sizes alone.
+            // 2^33 centroids, past the u32 labels: refused from the set
+            // sizes alone.
             proto(vec![Matrix::zeros(2048, 1); 3]),
         ];
         for summary in summaries {

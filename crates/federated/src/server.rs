@@ -84,6 +84,36 @@ pub struct WireTotals {
     pub frame_bytes_up: usize,
 }
 
+/// Every frame of a run is counted once, by one of these methods, which
+/// also adds it to the `fed.*` counter of its field, so a trace's wire
+/// counters equal the model's totals.
+impl WireTotals {
+    fn down(&mut self, info: &FrameInfo) {
+        self.frames_down += 1;
+        self.frame_bytes_down += info.frame_bytes;
+        kr_obs::counter!("fed.frames_down", 1);
+        kr_obs::counter!("fed.frame_bytes_down", info.frame_bytes);
+    }
+
+    fn up(&mut self, info: &FrameInfo) {
+        self.frames_up += 1;
+        self.frame_bytes_up += info.frame_bytes;
+        kr_obs::counter!("fed.frames_up", 1);
+        kr_obs::counter!("fed.frame_bytes_up", info.frame_bytes);
+    }
+
+    /// `frames` late frames, `bytes` in all, discarded in round `round`.
+    fn stale(&mut self, frames: usize, bytes: usize, round: u32) {
+        if frames == 0 {
+            return;
+        }
+        self.frames_stale += frames;
+        self.frame_bytes_up += bytes;
+        kr_obs::counter!("fed.frames_stale", frames, "round" => round);
+        kr_obs::counter!("fed.frame_bytes_up", bytes);
+    }
+}
+
 /// Fault-tolerance and privacy knobs for a federated run. The default
 /// is the strict legacy contract: every client must answer every round,
 /// deadlines are the transport's defaults, and uploads are plaintext.
@@ -334,8 +364,7 @@ impl<'e, C: Connection> Driver<'e, C> {
             .zip(conns)
             .filter_map(|(slot, conn)| {
                 let (join, info) = slot?;
-                wire.frames_up += 1;
-                wire.frame_bytes_up += info.frame_bytes;
+                wire.up(&info);
                 Some((join, conn))
             })
             .collect();
@@ -392,10 +421,8 @@ impl<'e, C: Connection> Driver<'e, C> {
         let (mut stat_down, mut stat_up) = (0usize, 0usize);
         let mut out = Vec::with_capacity(results.len());
         for (value, info_down, info_up) in results {
-            self.wire.frames_down += 1;
-            self.wire.frame_bytes_down += info_down.frame_bytes;
-            self.wire.frames_up += 1;
-            self.wire.frame_bytes_up += info_up.frame_bytes;
+            self.wire.down(&info_down);
+            self.wire.up(&info_up);
             stat_down += info_down.stat_bytes;
             stat_up += info_up.stat_bytes;
             out.push(value);
@@ -415,8 +442,7 @@ impl<'e, C: Connection> Driver<'e, C> {
             }
         })?;
         for info in infos.into_iter().flatten() {
-            self.wire.frames_down += 1;
-            self.wire.frame_bytes_down += info.frame_bytes;
+            self.wire.down(&info);
         }
         Ok(())
     }
@@ -577,16 +603,9 @@ impl<'e, C: Connection> Driver<'e, C> {
         // Fold in ascending client order: wire accounting, failure
         // bookkeeping, and the reporters' statistics.
         let fold = |i: usize, report: ConnReport| {
-            wire.frames_stale += report.stale_frames;
-            wire.frame_bytes_up += report.stale_bytes;
-            if report.stale_frames > 0 {
-                kr_obs::counter!("fed.frames_stale", report.stale_frames, "round" => round);
-            }
+            wire.stale(report.stale_frames, report.stale_bytes, round);
             if let Some(info) = report.down {
-                wire.frames_down += 1;
-                wire.frame_bytes_down += info.frame_bytes;
-                kr_obs::counter!("fed.frames_down", 1);
-                kr_obs::counter!("fed.frame_bytes_down", info.frame_bytes);
+                wire.down(&info);
                 if !eval_only {
                     outcome.stat_down += info.stat_bytes;
                 }
@@ -594,10 +613,7 @@ impl<'e, C: Connection> Driver<'e, C> {
             match report.result {
                 ConnResult::Skipped => {}
                 ConnResult::Reported { stats, up } => {
-                    wire.frames_up += 1;
-                    wire.frame_bytes_up += up.frame_bytes;
-                    kr_obs::counter!("fed.frames_up", 1);
-                    kr_obs::counter!("fed.frame_bytes_up", up.frame_bytes);
+                    wire.up(&up);
                     if !eval_only {
                         outcome.stat_up += up.stat_bytes;
                     }
@@ -677,10 +693,8 @@ impl<'e, C: Connection> Driver<'e, C> {
         let conn = &mut self.conns[ci];
         let info_down = conn.send(msg)?;
         let (reply, info_up) = recv_expected(conn)?;
-        self.wire.frames_down += 1;
-        self.wire.frame_bytes_down += info_down.frame_bytes;
-        self.wire.frames_up += 1;
-        self.wire.frame_bytes_up += info_up.frame_bytes;
+        self.wire.down(&info_down);
+        self.wire.up(&info_up);
         parse(reply)
     }
 

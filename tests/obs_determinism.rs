@@ -135,9 +135,12 @@ fn kmeans_fit_is_bitwise_invisible() {
 /// engine, each `assign.*` counter total equals the model's own
 /// `prune_stats`, and each counter is added at most once per
 /// `assign.pass` span — once per assignment call, not once per chunk or
-/// candidate. The fits cover the dense pass, the grid pass with the
-/// factored filter, both on-the-fly paths (the Sum filter and the
-/// Product tuple sweep), and the exhaustive scans with pruning off.
+/// candidate. No fit records more `pool.queue_depth` events (one per
+/// dispatch to the pool's workers) than `assign.pass` spans, so no
+/// assignment path dispatches once per candidate. The fits cover the
+/// dense pass, the grid pass with the factored filter, both on-the-fly
+/// paths (the Sum filter and the Product tuple sweep), and the
+/// exhaustive scans with pruning off.
 #[test]
 fn assign_counters_equal_prune_stats_once_per_pass() {
     use kr_core::kr_kmeans::KrVariant;
@@ -202,6 +205,15 @@ fn assign_counters_equal_prune_stats_once_per_pass() {
                         "{ctx}: {adds} {counter} events for {passes} passes"
                     );
                 }
+                let dispatches = snapshot
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == obs::EventKind::Hist && e.name == "pool.queue_depth")
+                    .count();
+                assert!(
+                    dispatches <= passes,
+                    "{ctx}: {dispatches} pool dispatches for {passes} passes"
+                );
             }
         }
     }
@@ -328,8 +340,8 @@ fn coreset_tree_is_bitwise_invisible() {
 
 /// A faulted quorum run: seeded drops against 5 shards, quorum 1. Wire
 /// totals (stale frames included), per-round history, and centroids
-/// must be bitwise recorder-invariant, and the trace must classify the
-/// failures.
+/// must be bitwise recorder-invariant, the trace must classify the
+/// failures, and its wire counters must equal the model's `WireTotals`.
 #[test]
 fn faulted_quorum_federated_round_is_bitwise_invisible() {
     let (ds, _, _) = kr_structured(3, 2, 40, 0.3, StructureKind::Additive, 61);
@@ -433,10 +445,21 @@ fn faulted_quorum_federated_round_is_bitwise_invisible() {
             + snapshot.counter_total("fed.fail_corrupt")
             + snapshot.counter_total("fed.fail_disconnected");
         assert_eq!(classified, failures, "workers={workers}: failure counts");
-        assert_eq!(
-            snapshot.counter_total("fed.frames_stale") as usize,
-            recorded.wire.frames_stale,
-            "workers={workers}: stale frames"
-        );
+        // Every frame of the run, from registration and the bootstrap
+        // to the final ack, reaches the wire counters once.
+        let wire = recorded.wire;
+        for (counter, total) in [
+            ("fed.frames_stale", wire.frames_stale),
+            ("fed.frames_down", wire.frames_down),
+            ("fed.frames_up", wire.frames_up),
+            ("fed.frame_bytes_down", wire.frame_bytes_down),
+            ("fed.frame_bytes_up", wire.frame_bytes_up),
+        ] {
+            assert_eq!(
+                snapshot.counter_total(counter) as usize,
+                total,
+                "workers={workers}: {counter}"
+            );
+        }
     }
 }
