@@ -60,6 +60,20 @@
 //! through the factored filter below when the grid has one, else through
 //! the full ascending scan of a materialized matrix, or the tuple sweep
 //! of an implicit grid.
+//!
+//! The first rows of a k-means++ restart come from the seeder
+//! ([`crate::kmeans`]), not from a scan: its pass for each seed runs the
+//! ascending strict-`<` chain of the full scan over the seeds so far, so
+//! its last pass leaves each point's exhaustive label and exact distance,
+//! and the runner-up's computed value, rounded toward zero, in the bound
+//! slot. The engine adopts these rows with the seeds as its drift
+//! snapshot, turning each runner-up into a true-distance bound under
+//! `kernel_error_bound` at the data's largest norm on both sides, which
+//! covers every seed because seeds are data rows. The restart's first
+//! pass then gates every point with one distance instead of scanning all
+//! `n × k` pairs; random and warm starts, and [`PruneMode::Off`], keep the
+//! full first scan.
+//!
 //! The client holds no engine because its rows live across rounds in
 //! memory the federation pays for on every shard: it keeps no distance
 //! (it recomputes the one to the label when it sums its statistics), no
@@ -158,7 +172,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct PruneStats {
     /// Exact kernel distance evaluations performed. The factored
     /// filter's per-set dot products `⟨x, θ_l^j⟩` are not distances and
-    /// are not counted here.
+    /// are not counted here, nor are the k-means++ seeder's `n·k`
+    /// evaluations. The seeder hands its assignment to the first pass of
+    /// a k-means++ restart, which therefore counts one gate evaluation per
+    /// point (and its rescans) where a scan counted `k`. That pass's skips
+    /// raise the skip ratio, but they are distances the seeder computed,
+    /// not ones a bound pruned.
     pub dists_computed: u64,
     /// Candidate evaluations skipped under a certified bound.
     pub dists_skipped: u64,
@@ -613,6 +632,35 @@ impl AssignEngine {
         }
     }
 
+    /// Opens the dense session of a k-means++ restart and returns its
+    /// seeds: `seed` runs the seeder on the session's rows
+    /// ([`DistRow::offer_seed`]) and returns the `k` seeds, which are rows
+    /// of the data given to [`AssignEngine::begin_fit`]. The rows then
+    /// hold the exhaustive first assignment against the seeds. With
+    /// pruning on the engine adopts it: the seeds become the drift
+    /// snapshot and each runner-up a true-distance lower bound, under the
+    /// error term of two data rows, so the first
+    /// [`AssignEngine::assign_dense`] against the seeds gates every point
+    /// with one distance instead of a scan.
+    pub(crate) fn seed_dense(
+        &mut self,
+        k: usize,
+        seed: impl FnOnce(&mut [DistRow]) -> Matrix,
+    ) -> Matrix {
+        self.ensure_dense_session(k);
+        let seeds = seed(&mut self.rows);
+        self.ready = self.exec.prune_mode() == PruneMode::On;
+        if self.ready {
+            let err = kernel_error_bound(self.m, self.max_x_sq, self.max_x_sq);
+            for row in &mut self.rows {
+                let runner = f64::from(row.bound.lower);
+                row.bound.lower = f32_toward_zero(dist_lower(runner, err));
+            }
+            self.prev.copy_from_slice(seeds.as_slice());
+        }
+        seeds
+    }
+
     /// Starts a dense session for `k` centroids unless one is open, with
     /// a `k × m` drift snapshot.
     fn ensure_dense_session(&mut self, k: usize) {
@@ -641,11 +689,54 @@ struct CompactRow {
 /// exact distance to the label, the `dmin` that the `assign_*` calls
 /// return. An on-the-fly pass first refreshes it to the label's current
 /// centroid ([`AssignEngine::otf_label_dists`]), the distance its gate
-/// reads.
+/// reads. The k-means++ seeder keeps its per-point state in these rows
+/// ([`DistRow::offer_seed`]).
 #[derive(Debug, Clone, Copy, Default)]
-struct DistRow {
+pub(crate) struct DistRow {
     bound: CompactRow,
     dist: f64,
+}
+
+impl DistRow {
+    /// A row before any seed: label 0 at `+∞`, runner-up `+∞`, the start
+    /// of [`scan_point`]'s chain.
+    const UNSEEDED: DistRow = DistRow {
+        bound: CompactRow {
+            label: 0,
+            lower: f32::INFINITY,
+        },
+        dist: f64::INFINITY,
+    };
+
+    /// One step of the k-means++ seeder: seed `c` computes `d` against
+    /// this point, seed 0 restarting the row. Seeds arrive in ascending
+    /// order and go through [`scan_point`]'s strict-`<` chain, so after the
+    /// last one the row holds the exhaustive label and its exact distance
+    /// (the point's D²). The bound slot holds the runner-up's computed
+    /// value rounded toward zero, which stays at or below it.
+    pub(crate) fn offer_seed(&mut self, c: usize, d: f64) {
+        if c == 0 {
+            *self = DistRow::UNSEEDED;
+        }
+        if d < self.dist {
+            self.bound.lower = f32_toward_zero(self.dist);
+            self.bound.label = c as u32;
+            self.dist = d;
+        } else if d < f64::from(self.bound.lower) {
+            self.bound.lower = f32_toward_zero(d);
+        }
+    }
+
+    /// The exact distance to the label: a seeded point's D².
+    pub(crate) fn dist(&self) -> f64 {
+        self.dist
+    }
+
+    /// The label and the bound slot's value.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (usize, f32) {
+        (self.bound.label as usize, self.bound.lower)
+    }
 }
 
 /// A row of [`hamerly_pass`]: a [`CompactRow`] bound and whatever else
@@ -2063,6 +2154,36 @@ mod tests {
         let still = engine.take_stats();
         assert_eq!(still.dists_computed, 200);
         assert_eq!(still.dists_skipped, 200 * 3);
+    }
+
+    /// A k-means++ restart's first pass takes over the seeder's
+    /// assignment: against the seeds it computes one distance per point
+    /// (no point sits within the error term of a tie) and equals the
+    /// exhaustive scan bitwise. With pruning off it scans every pair.
+    #[test]
+    fn seeded_first_pass_gates_every_point() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let (n, k) = (200, 8);
+        let data = Matrix::from_fn(n, 3, |i, j| ((i * 7 + j * 3) as f64).sin() * 4.0);
+        let (mut rl, mut rd) = (vec![0usize; n], vec![0.0f64; n]);
+        for (mode, computed) in [(PruneMode::On, n), (PruneMode::Off, n * k)] {
+            let exec = ExecCtx::serial().with_prune_mode(mode);
+            let mut engine = AssignEngine::new(&exec);
+            engine.begin_fit(&data);
+            let mut rng = StdRng::seed_from_u64(3);
+            let seeds = engine.seed_dense(k, |rows| {
+                crate::kmeans::plus_plus_seed(&data, None, k, &mut rng, rows)
+            });
+            let (mut labels, mut dmin) = (vec![0usize; n], vec![0.0f64; n]);
+            engine.assign_dense(&data, &seeds, &mut labels, &mut dmin);
+            exhaustive_dense(&data, &seeds, &mut rl, &mut rd, &exec, None);
+            assert_eq!(labels, rl, "{mode:?}");
+            for (a, b) in dmin.iter().zip(&rd) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{mode:?}");
+            }
+            let stats = engine.take_stats();
+            assert_eq!(stats.dists_computed, computed as u64, "{mode:?}");
+        }
     }
 
     #[test]

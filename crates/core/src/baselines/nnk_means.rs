@@ -156,7 +156,7 @@ impl NnkMeans {
         let n = data.nrows();
         let s = self.s.min(self.k);
         let x_norms = data.row_sq_norms();
-        let mut atoms = plus_plus_init(data, None, self.k, rng);
+        let mut atoms = plus_plus_init(data, self.k, rng);
         let mut codes = Matrix::zeros(n, self.k);
         let mut dist = Matrix::zeros(0, 0);
         let mut n_iter = 0;
@@ -520,7 +520,7 @@ mod tests {
         let s = 3;
         let x_norms = data.row_sq_norms();
         let mut rng = StdRng::seed_from_u64(0);
-        let atoms = plus_plus_init(&data, None, 5, &mut rng);
+        let atoms = plus_plus_init(&data, 5, &mut rng);
         let mut codes = Matrix::zeros(data.nrows(), 5);
         sparse_code(&data, &x_norms, &atoms, s, &ExecCtx::serial(), &mut codes);
         for row in codes.rows_iter() {

@@ -410,8 +410,7 @@ impl KrKMeans {
                 let mean = data.col_means();
                 let mut sets = Vec::with_capacity(self.hs.len());
                 for (l, &h) in self.hs.iter().enumerate() {
-                    let mut set =
-                        crate::kmeans::plus_plus_init(data, None, h.min(data.nrows()), rng);
+                    let mut set = crate::kmeans::plus_plus_init(data, h.min(data.nrows()), rng);
                     if l > 0 {
                         anchor_to_mean(&mut set, &mean, self.aggregator);
                     }

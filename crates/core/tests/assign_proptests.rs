@@ -8,11 +8,14 @@
 //! These properties sweep ragged shapes and the degenerate corners —
 //! k = 1, duplicate centroids, zero-drift iterations — plus plain
 //! end-to-end fits at 1/2/8 pool workers, one larger fit in the
-//! small-k, large-n regime, and the factored filter of Sum grids under
-//! cancellation and ties.
+//! small-k, large-n regime, the factored filter of Sum grids under
+//! cancellation and ties, and the k-means++ seeder's hand-off of its
+//! assignment to the first pass of every restart, weighted and at the
+//! coreset tree's leaf shape.
 
 use kr_core::aggregator::Aggregator;
 use kr_core::assign::AssignEngine;
+use kr_core::baselines::WeightedKMeans;
 use kr_core::kmeans::{nearest_assignments_with, KMeans};
 use kr_core::kr_kmeans::{KrKMeans, KrVariant};
 use kr_core::operator::{khatri_rao, CentroidIndexer};
@@ -292,6 +295,129 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The bits of a fit's labels, centroids and inertia.
+fn fit_bits(model: &kr_core::KMeansModel) -> (Vec<usize>, Vec<u64>, u64) {
+    let centroids = model.centroids.as_slice().iter().map(|v| v.to_bits());
+    (
+        model.labels.clone(),
+        centroids.collect(),
+        model.inertia.to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// k-means++ restarts hand the seeder's assignment to their first
+    /// pass: `WeightedKMeans` and `KMeans` fits with pruning on equal
+    /// `PruneMode::Off` bitwise at every k from 1 to n. Weights include
+    /// 0, 2^-64 and 2^64; duplicated rows make ties and all-zero D²
+    /// masses in the seeder; the data is also scaled by 1e-150 and by
+    /// 1e150, where weighted masses overflow, and offset by 1e8.
+    #[test]
+    fn plus_plus_fits_pruned_equal_exhaustive(
+        (n, m) in (1usize..=16, 1usize..=4),
+        dup_rate in 0.0..0.6f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut base = Matrix::from_fn(n, m, |_, _| rng.gen_range(-8.0..8.0));
+        for i in 1..n {
+            if rng.gen_bool(dup_rate) {
+                let row = base.row(rng.gen_range(0..i)).to_vec();
+                base.row_mut(i).copy_from_slice(&row);
+            }
+        }
+        let choices = [0.0, 2f64.powi(-64), 1.0, 2f64.powi(64), 0.3, 7.0];
+        let mut weights: Vec<f64> = (0..n).map(|_| choices[rng.gen_range(0..6)]).collect();
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[rng.gen_range(0..n)] = 2f64.powi(64);
+        }
+        let transforms = [
+            ("plain", 1.0, 0.0),
+            ("x1e-150", 1e-150, 0.0),
+            ("x1e150", 1e150, 0.0),
+            ("+1e8", 1.0, 1e8),
+        ];
+        for (name, scale, offset) in transforms {
+            let data = Matrix::from_fn(n, m, |i, j| base.get(i, j) * scale + offset);
+            for k in 1..=n {
+                let fit = |mode: PruneMode, weighted: bool| {
+                    let exec = ExecCtx::serial().with_prune_mode(mode);
+                    let model = if weighted {
+                        WeightedKMeans::new(k)
+                            .with_seed(seed)
+                            .with_n_init(2)
+                            .with_max_iter(30)
+                            .with_exec(exec)
+                            .fit(&data, &weights)
+                    } else {
+                        KMeans::new(k)
+                            .with_seed(seed)
+                            .with_n_init(2)
+                            .with_max_iter(30)
+                            .with_exec(exec)
+                            .fit(&data)
+                    };
+                    fit_bits(&model.unwrap())
+                };
+                for weighted in [true, false] {
+                    assert_eq!(
+                        fit(PruneMode::On, weighted),
+                        fit(PruneMode::Off, weighted),
+                        "{name} n {n} m {m} k {k} weighted {weighted}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The coreset tree's leaf compression: 400×8 blobs into 100 centroids,
+/// `n_init` 4, `max_iter` 50, where every restart's first pass is the
+/// seeder's hand-off. `WeightedKMeans` (weights 1 to 7) and `KMeans`
+/// fits at 1, 2 and 8 pool workers equal the serial exhaustive fit
+/// bitwise. The kernel and pruning modes come from the environment, so
+/// CI's `KR_KERNEL=simd` and `KR_PRUNE=off` legs run them in those modes.
+#[test]
+fn exec_determinism_coreset_leaf_plus_plus_fits() {
+    let data = kr_datasets::synthetic::blobs(400, 8, 100, 1.0, 29).data;
+    let weights: Vec<f64> = (0..400).map(|i| (1 + i % 7) as f64).collect();
+    let fit = |exec: ExecCtx, weighted: bool| {
+        let model = if weighted {
+            WeightedKMeans::new(100)
+                .with_seed(31)
+                .with_n_init(4)
+                .with_max_iter(50)
+                .with_exec(exec)
+                .fit(&data, &weights)
+        } else {
+            KMeans::new(100)
+                .with_seed(31)
+                .with_n_init(4)
+                .with_max_iter(50)
+                .with_exec(exec)
+                .fit(&data)
+        };
+        model.unwrap()
+    };
+    for weighted in [true, false] {
+        let reference = fit_bits(&fit(
+            ExecCtx::serial().with_prune_mode(PruneMode::Off),
+            weighted,
+        ));
+        for workers in [1usize, 2, 8] {
+            let exec = ExecCtx::threaded(workers + 1).with_pool(Arc::new(ThreadPool::new(workers)));
+            let model = fit(exec, weighted);
+            assert_eq!(
+                fit_bits(&model),
+                reference,
+                "weighted {weighted} workers {workers}"
+            );
         }
     }
 }
