@@ -11,6 +11,12 @@
 //! paper plots: KR-FkM consistently lower inertia at parity cost,
 //! with the largest gap at the smallest budget.
 //!
+//! The uplink is near parity too: a Sum KR-FkM client uploads each
+//! protocentroid's marginal sum (20 vectors) plus the 100 cell counts,
+//! against FkM's 20 centroid sums plus 20 counts, so per round
+//! `(20·m + 100)·8` bytes against `(20·m + 20)·8` per client. The
+//! harness asserts the closed form and that the two are within 1%.
+//!
 //! The byte counters are no longer closed-form arithmetic: every value
 //! comes from `wire::FrameInfo` measurements of the frames the
 //! transport actually moved. The *transport matrix* section then sweeps
@@ -110,14 +116,29 @@ fn main() {
     println!("=== Figure 10: inertia vs measured server->client bytes (glyph pairs, n = {n}) ===");
     println!("(both broadcast 20 vectors/round; KR's 20 vectors span 100 centroids)\n");
     println!(
-        "{:>8}{:>14}{:>12}{:>12}{:>9}",
-        "round", "down (MB)", "FkM", "KR-FkM", "ratio"
+        "{:>8}{:>14}{:>14}{:>14}{:>12}{:>12}{:>9}",
+        "round", "down (MB)", "FkM up (MB)", "KR up (MB)", "FkM", "KR-FkM", "ratio"
     );
+    let m = ds.data.ncols();
+    let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
     let mut wins = 0usize;
     let mut worst_ratio = f64::INFINITY;
     let mut best_ratio: f64 = 0.0;
     for (f, k) in fkm.history.iter().zip(kr.history.iter()) {
         assert_eq!(f.downlink_bytes, k.downlink_bytes, "parity by construction");
+        // Per round and client: 20 marginal sums + 100 counts against
+        // FkM's 20 centroid sums + 20 counts.
+        let rounds_so_far = f.round + 1;
+        assert_eq!(
+            k.uplink_bytes,
+            rounds_so_far * 10 * (20 * m + 100) * 8,
+            "Sum KR-FkM uplink closed form"
+        );
+        let up_ratio = k.uplink_bytes as f64 / f.uplink_bytes as f64;
+        assert!(
+            up_ratio <= 1.01,
+            "KR-FkM uploads {up_ratio:.4}x FkM's bytes at the 20-vector parity shape"
+        );
         let ratio = f.inertia / k.inertia;
         if k.inertia <= f.inertia {
             wins += 1;
@@ -125,14 +146,28 @@ fn main() {
         worst_ratio = worst_ratio.min(ratio);
         best_ratio = best_ratio.max(ratio);
         println!(
-            "{:>8}{:>14.2}{:>12.1}{:>12.1}{:>9.2}",
+            "{:>8}{:>14.2}{:>14.2}{:>14.2}{:>12.1}{:>12.1}{:>9.2}",
             f.round,
-            f.downlink_bytes as f64 / (1024.0 * 1024.0),
+            mb(f.downlink_bytes),
+            mb(f.uplink_bytes),
+            mb(k.uplink_bytes),
             f.inertia,
             k.inertia,
             ratio
         );
     }
+    let (f_up, k_up) = (
+        fkm.history.last().unwrap().uplink_bytes,
+        kr.history.last().unwrap().uplink_bytes,
+    );
+    println!(
+        "\nAccounted uplink: KR-FkM {:.2} MB vs FkM {:.2} MB ({:.4}x; closed form \
+         (20·{m} + 100)/(20·{m} + 20) = {:.4}).",
+        mb(k_up),
+        mb(f_up),
+        k_up as f64 / f_up as f64,
+        (20 * m + 100) as f64 / (20 * m + 20) as f64,
+    );
     println!(
         "\nKR-FkM lower inertia in {wins}/{rounds} budget points; \
          FkM/KR inertia ratio in [{worst_ratio:.2}, {best_ratio:.2}] \
@@ -149,13 +184,14 @@ fn main() {
         );
     }
     for (name, model) in [("FkM", &fkm), ("KR-FkM", &kr)] {
-        let stat_down = model.history.last().unwrap().downlink_bytes;
+        let last = model.history.last().unwrap();
         println!(
-            "{name}: accounted downlink {:.2} MB; full frame traffic {:.2} MB down / {:.2} MB up \
-             ({} frames down, {} up; overhead = framing + bootstrap + acks + eval)",
-            stat_down as f64 / (1024.0 * 1024.0),
-            model.wire.frame_bytes_down as f64 / (1024.0 * 1024.0),
-            model.wire.frame_bytes_up as f64 / (1024.0 * 1024.0),
+            "{name}: accounted {:.2} MB down / {:.2} MB up; full frame traffic {:.2} MB down / \
+             {:.2} MB up ({} frames down, {} up; overhead = framing + bootstrap + acks + eval)",
+            mb(last.downlink_bytes),
+            mb(last.uplink_bytes),
+            mb(model.wire.frame_bytes_down),
+            mb(model.wire.frame_bytes_up),
             model.wire.frames_down,
             model.wire.frames_up,
         );
@@ -166,8 +202,15 @@ fn main() {
     // across transports.
     println!("\n=== Transport matrix: local (in-process) vs tcp (loopback) ===");
     println!(
-        "{:<10}{:>9}{:>8}{:>15}{:>16}{:>15}{:>10}",
-        "algo", "clients", "rounds", "stats dn (KB)", "frames dn (KB)", "tcp == local", "tcp (s)"
+        "{:<10}{:>9}{:>8}{:>15}{:>15}{:>16}{:>15}{:>10}",
+        "algo",
+        "clients",
+        "rounds",
+        "stats dn (KB)",
+        "stats up (KB)",
+        "frames dn (KB)",
+        "tcp == local",
+        "tcp (s)"
     );
     let n_small = kr_bench::scaled(400, 200);
     let ds_small = kr_datasets::image::double_mnist_like(n_small, 5);
@@ -200,11 +243,12 @@ fn main() {
                 );
                 let last = local.history.last().unwrap();
                 println!(
-                    "{:<10}{:>9}{:>8}{:>15.1}{:>16.1}{:>15}{:>10.3}",
+                    "{:<10}{:>9}{:>8}{:>15.1}{:>15.1}{:>16.1}{:>15}{:>10.3}",
                     algo_name,
                     n_clients,
                     rounds,
                     last.downlink_bytes as f64 / 1024.0,
+                    last.uplink_bytes as f64 / 1024.0,
                     local.wire.frame_bytes_down as f64 / 1024.0,
                     if equal { "bitwise ✓" } else { "DIVERGED" },
                     tcp_s,

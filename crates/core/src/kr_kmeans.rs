@@ -21,9 +21,15 @@
 //! member count and coordinate sum. A fit builds each sum from the
 //! cluster's members into one `m`-vector rather than a `k x m` block of
 //! sums, which would break the memory-efficient variant's space bound.
-//! The federated server, the streaming update and the naive
-//! decomposition run the same code on the sums they already hold
-//! ([`prop61_update_from_stats`]).
+//! The streaming update and the naive decomposition run the same code on
+//! the sums they already hold ([`prop61_update_from_stats`]). Under Sum
+//! the data enter only through each protocentroid's *marginal* sum
+//! `M_q[j] = Σ_{C: c_q = j} Σ_{x∈C} x` and the `k` counts, so the Sum form
+//! folds every cluster's sum into the `(Σ h_l) x m` marginals once per
+//! update ([`marginal_sums`]), and a federated server updates from
+//! marginals its clients sent instead of `k x m` cell sums
+//! ([`prop61_update_from_marginals`]). Product needs each cell's sum
+//! against the other sets and keeps the per-cell form.
 //!
 //! In addition to the `n_init` random restarts, [`KrKMeans::fit`] runs one
 //! deterministic **two-phase warm start**: an unconstrained k-Means
@@ -490,10 +496,10 @@ pub fn prop61_update_pass_with(
 /// statistics* instead of raw points: per-cluster coordinate sums
 /// (`k x m`) and member counts. The closed forms only depend on
 /// `Σ_{x∈C} x` and `|C|`, and this runs the same code as
-/// [`prop61_update_pass_with`]: a one-client `KR-FkM` round, whose sums
-/// accumulate in point order, equals it bitwise. It is what a federated
-/// server runs after aggregating client statistics (Figure 10's
-/// `KR-FkM`).
+/// [`prop61_update_pass_with`]: statistics folded in point order update
+/// the sets bitwise as the centralized pass does. The stream runs it on
+/// its cumulative statistics; a Sum `KR-FkM` server, whose clients send
+/// marginals, runs [`prop61_update_from_marginals`] instead.
 ///
 /// Protocentroids whose combinations are all empty keep their value
 /// (a federated server has no raw data to reseed from).
@@ -509,12 +515,53 @@ pub fn prop61_update_from_stats(
     prop61_update(
         sets,
         agg,
-        |c, sum| {
-            sum.copy_from_slice(sums.row(c));
-            counts[c]
-        },
+        |c| counts[c],
+        |c, sum| sum.copy_from_slice(sums.row(c)),
         |_, _, _| {},
     );
+}
+
+/// The Sum closed forms from *marginal* statistics: `marginals` stacks
+/// each set's protocentroid sums `M_q[j]` (set after set, `(Σ h_l) x m`,
+/// as [`marginal_sums`] lays them out) and `counts` holds the `k` cell
+/// counts. This is what a Sum `KR-FkM` server runs after aggregating its
+/// clients' marginals; a one-client round equals
+/// [`prop61_update_pass_with`] under Sum bitwise, since both marginalize
+/// the same point-order cell sums in the same order.
+///
+/// Protocentroids whose combinations are all empty keep their value.
+pub fn prop61_update_from_marginals(marginals: &Matrix, counts: &[usize], sets: &mut [Matrix]) {
+    let hs: Vec<usize> = sets.iter().map(|s| s.nrows()).collect();
+    assert_eq!(
+        marginals.shape(),
+        (hs.iter().sum(), sets[0].ncols()),
+        "one marginal row per protocentroid"
+    );
+    assert_eq!(
+        counts.len(),
+        hs.iter().product::<usize>(),
+        "one count per cluster"
+    );
+    let indexer = CentroidIndexer::new(hs);
+    sum_update(sets, &indexer, marginals, |c| counts[c], |_, _, _| {});
+}
+
+/// Marginalizes `k x m` cell sums over the grid of set sizes `hs`: row
+/// `o_q + j` of the `(Σ h_l) x m` result, with `o_q = Σ_{l<q} h_l`, is
+/// `M_q[j] = Σ_{C: c_q = j} S_C`. Cells are added in ascending flat order
+/// and empty ones (`counts[c] == 0`) are skipped — exactly the walk the
+/// Sum update makes, so a one-client round marginalizes its point-order
+/// cell sums into the centralized pass's bits.
+pub fn marginal_sums(sums: &Matrix, counts: &[usize], hs: &[usize]) -> Matrix {
+    let k: usize = hs.iter().product();
+    assert_eq!(sums.nrows(), k, "one sum row per cluster");
+    assert_eq!(counts.len(), k, "one count per cluster");
+    marginalize(
+        &CentroidIndexer::new(hs.to_vec()),
+        sums.ncols(),
+        |c| counts[c],
+        |c, sum| sum.copy_from_slice(sums.row(c)),
+    )
 }
 
 /// [`prop61_update`] from raw points: each cluster's sum is built from its
@@ -538,13 +585,12 @@ fn prop61_update_from_points(
     prop61_update(
         sets,
         agg,
+        |c| clusters.members(c).len(),
         |c, sum| {
-            let members = clusters.members(c);
             sum.fill(0.0);
-            for &i in members {
+            for &i in clusters.members(c) {
                 ops::add_assign(sum, data.row(i));
             }
-            members.len()
         },
         |sets, q, j| {
             let x = data.row(rng.gen_range(0..data.nrows()));
@@ -577,20 +623,30 @@ fn prop61_update_from_points(
 /// * product: `θ_q^j = Σ_C (Σ_{x∈C} x) ⊙ o_C / Σ_C |C| (o_C ⊙ o_C)`
 ///   (elementwise division; unconstrained dimensions keep their value).
 ///
-/// `cluster(c, sum)` returns cluster `c`'s member count and, when it is
-/// non-zero, writes the cluster's coordinate sum into `sum`. The grid is
-/// walked serially in flat-index order, so results do not depend on the
-/// thread count. `on_empty(sets, q, j)` runs for each protocentroid whose
-/// combinations are all empty, in ascending `j`, before set `q + 1`
-/// updates.
+/// `count(c)` returns cluster `c`'s member count, and `cell_sum(c, sum)`
+/// writes its coordinate sum into `sum`; it is called only for non-empty
+/// clusters. The grid is walked serially in flat-index order, so results
+/// do not depend on the thread count. `on_empty(sets, q, j)` runs for
+/// each protocentroid whose combinations are all empty, in ascending `j`,
+/// before set `q + 1` updates.
+///
+/// Sum builds every cluster's sum once, into the marginals
+/// ([`marginalize`]), and then runs [`sum_update`]; Product reads each
+/// cluster's sum once per set.
 fn prop61_update(
     sets: &mut [Matrix],
     agg: Aggregator,
-    mut cluster: impl FnMut(usize, &mut [f64]) -> usize,
+    count: impl Fn(usize) -> usize,
+    mut cell_sum: impl FnMut(usize, &mut [f64]),
     mut on_empty: impl FnMut(&mut [Matrix], usize, usize),
 ) {
     let indexer = CentroidIndexer::new(sets.iter().map(|s| s.nrows()).collect());
     let m = sets[0].ncols();
+    if agg == Aggregator::Sum {
+        let marginals = marginalize(&indexer, m, &count, cell_sum);
+        sum_update(sets, &indexer, &marginals, count, on_empty);
+        return;
+    }
     let mut sum = vec![0.0f64; m];
     let mut other = vec![0.0f64; m];
     for q in 0..sets.len() {
@@ -599,10 +655,11 @@ fn prop61_update(
         let mut den = Matrix::zeros(h_q, m);
         let mut totals = vec![0usize; h_q];
         indexer.for_each_tuple(|flat, tuple| {
-            let n_c = cluster(flat, &mut sum);
+            let n_c = count(flat);
             if n_c == 0 {
                 return;
             }
+            cell_sum(flat, &mut sum);
             let j = tuple[q];
             totals[j] += n_c;
             agg.fill_identity(&mut other);
@@ -611,43 +668,97 @@ fn prop61_update(
                     agg.aggregate_assign(&mut other, sets[l].row(jl));
                 }
             }
-            match agg {
-                Aggregator::Sum => {
-                    let row = num.row_mut(j);
-                    ops::add_assign(row, &sum);
-                    ops::axpy(row, -(n_c as f64), &other);
-                }
-                Aggregator::Product => {
-                    ops::add_hadamard_assign(num.row_mut(j), &sum, &other);
-                    ops::add_weighted_square_assign(den.row_mut(j), n_c as f64, &other);
-                }
-            }
+            ops::add_hadamard_assign(num.row_mut(j), &sum, &other);
+            ops::add_weighted_square_assign(den.row_mut(j), n_c as f64, &other);
         });
         for (j, &total) in totals.iter().enumerate() {
             if total == 0 {
                 on_empty(sets, q, j);
                 continue;
             }
-            match agg {
-                Aggregator::Sum => {
-                    let inv = 1.0 / total as f64;
-                    let dst = sets[q].row_mut(j);
-                    for (t, &nv) in dst.iter_mut().zip(num.row(j).iter()) {
-                        *t = nv * inv;
-                    }
-                }
-                Aggregator::Product => {
-                    let dst = sets[q].row_mut(j);
-                    for ((t, &nv), &dv) in
-                        dst.iter_mut().zip(num.row(j).iter()).zip(den.row(j).iter())
-                    {
-                        if dv > 1e-12 {
-                            *t = nv / dv;
-                        }
-                    }
+            let dst = sets[q].row_mut(j);
+            for ((t, &nv), &dv) in dst.iter_mut().zip(num.row(j).iter()).zip(den.row(j).iter()) {
+                if dv > 1e-12 {
+                    *t = nv / dv;
                 }
             }
         }
+    }
+}
+
+/// The marginal sums of `indexer`'s grid (see [`marginal_sums`]): one
+/// walk over the non-empty cells in ascending flat order adds each cell's
+/// sum into its protocentroid's row of every set.
+fn marginalize(
+    indexer: &CentroidIndexer,
+    m: usize,
+    count: impl Fn(usize) -> usize,
+    mut cell_sum: impl FnMut(usize, &mut [f64]),
+) -> Matrix {
+    let mut marginals = Matrix::zeros(indexer.n_protocentroids(), m);
+    let mut sum = vec![0.0f64; m];
+    indexer.for_each_tuple(|flat, tuple| {
+        if count(flat) == 0 {
+            return;
+        }
+        cell_sum(flat, &mut sum);
+        let mut start = 0;
+        for (&j, &h) in tuple.iter().zip(indexer.hs()) {
+            ops::add_assign(marginals.row_mut(start + j), &sum);
+            start += h;
+        }
+    });
+    marginals
+}
+
+/// The Sum closed form from the marginals: set by set, each protocentroid
+/// starts at its marginal `M_q[j]` when its first non-empty cell is
+/// reached, loses `n_C · o_C` for every non-empty cell `C` it belongs to
+/// (ascending flat order, `o_C` the other sets' rows of the tuple summed,
+/// earlier sets already updated), and is divided by its member total.
+/// The set row itself is the accumulator: no other set's update reads
+/// it, and an empty protocentroid keeps its value until `on_empty`.
+fn sum_update(
+    sets: &mut [Matrix],
+    indexer: &CentroidIndexer,
+    marginals: &Matrix,
+    count: impl Fn(usize) -> usize,
+    mut on_empty: impl FnMut(&mut [Matrix], usize, usize),
+) {
+    let mut other = vec![0.0f64; sets[0].ncols()];
+    let mut start = 0;
+    for q in 0..sets.len() {
+        let mut totals = vec![0usize; sets[q].nrows()];
+        indexer.for_each_tuple(|flat, tuple| {
+            let n_c = count(flat);
+            if n_c == 0 {
+                return;
+            }
+            other.fill(0.0);
+            for (l, &jl) in tuple.iter().enumerate() {
+                if l != q {
+                    ops::add_assign(&mut other, sets[l].row(jl));
+                }
+            }
+            let j = tuple[q];
+            let row = sets[q].row_mut(j);
+            if totals[j] == 0 {
+                row.copy_from_slice(marginals.row(start + j));
+            }
+            totals[j] += n_c;
+            ops::axpy(row, -(n_c as f64), &other);
+        });
+        for (j, &total) in totals.iter().enumerate() {
+            if total == 0 {
+                on_empty(sets, q, j);
+                continue;
+            }
+            let inv = 1.0 / total as f64;
+            for t in sets[q].row_mut(j) {
+                *t *= inv;
+            }
+        }
+        start += sets[q].nrows();
     }
 }
 
@@ -1063,5 +1174,61 @@ mod tests {
             .unwrap();
         assert!(model.centroids().all_finite());
         assert!(model.inertia.is_finite());
+    }
+
+    #[test]
+    fn sum_update_from_marginals_equals_the_cell_and_point_updates() {
+        // Three sets, and a protocentroid no cluster uses: updating from
+        // the marginals of point-order cell sums is the update from the
+        // cells and the update from the points, bitwise, except that the
+        // unused protocentroid keeps its value where the points path
+        // reseeds it.
+        let data = kr_datasets::synthetic::blobs(150, 3, 6, 0.5, 21).data;
+        let hs = [2usize, 2, 3];
+        let indexer = CentroidIndexer::new(hs.to_vec());
+        let k = indexer.n_centroids();
+        let labels: Vec<usize> = (0..data.nrows())
+            .map(|i| {
+                let flat = i * 5 % k;
+                flat - usize::from(indexer.to_tuple(flat)[2] == 2)
+            })
+            .collect();
+        let sets: Vec<Matrix> = hs
+            .iter()
+            .enumerate()
+            .map(|(l, &h)| Matrix::from_fn(h, 3, |j, c| (l * 7 + j * 3 + c) as f64 * 0.25))
+            .collect();
+        let mut stats = crate::stats::SuffStats::zeros(k, 3);
+        stats.observe_batch(&data, &labels).unwrap();
+        let counts = stats.counts_usize();
+        let mut from_cells = sets.clone();
+        prop61_update_from_stats(&stats.sums, &counts, &mut from_cells, Aggregator::Sum);
+        let mut from_marginals = sets.clone();
+        let marginals = marginal_sums(&stats.sums, &counts, &hs);
+        prop61_update_from_marginals(&marginals, &counts, &mut from_marginals);
+        let mut from_points = sets.clone();
+        let serial = ExecCtx::serial();
+        prop61_update_pass_with(
+            &data,
+            &labels,
+            &mut from_points,
+            Aggregator::Sum,
+            4,
+            &serial,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for l in 0..hs.len() {
+            let cells = from_cells[l].as_slice();
+            assert_eq!(bits(from_marginals[l].as_slice()), bits(cells), "set {l}");
+            for j in 0..hs[l] {
+                let (got, points) = (from_cells[l].row(j), from_points[l].row(j));
+                if (l, j) == (2, 2) {
+                    assert_eq!(got, sets[2].row(2), "the unused protocentroid kept");
+                    assert_ne!(points, sets[2].row(2), "the points path reseeds it");
+                } else {
+                    assert_eq!(bits(got), bits(points), "set {l} row {j}");
+                }
+            }
+        }
     }
 }

@@ -43,7 +43,10 @@ use kr_linalg::Matrix;
 /// statistics of one Lloyd / KR-k-Means update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuffStats {
-    /// `k x m`: per-cluster coordinate sums.
+    /// `k x m`: per-cluster coordinate sums. A Sum `KR-FkM` upload holds
+    /// the `(Σ h_l) x m` marginal sums of its cells here instead
+    /// ([`crate::kr_kmeans::marginal_sums`]); every statistic built by
+    /// [`SuffStats::zeros`] and the folds is in this cell form.
     pub sums: Matrix,
     /// `k`: per-cluster member counts.
     pub counts: Vec<u64>,
@@ -60,7 +63,7 @@ impl SuffStats {
 
     /// Number of clusters.
     pub fn k(&self) -> usize {
-        self.sums.nrows()
+        self.counts.len()
     }
 
     /// Number of features.
@@ -141,9 +144,11 @@ impl SuffStats {
         self.counts.iter().map(|&c| c as usize).collect()
     }
 
-    /// Number of 8-byte words a frame of these statistics carries
-    /// (`k·m` sums plus `k` counts) — the closed-form uplink accounting
-    /// of the paper's Figure 10.
+    /// Number of 8-byte words a frame of these statistics carries: the
+    /// sums plus `k` counts — `k·m + k` in cell form (FkM and Product
+    /// `KR-FkM` uploads), `(Σ h_l)·m + k` for a Sum `KR-FkM` upload's
+    /// marginals. This is the closed-form uplink accounting of the
+    /// paper's Figure 10.
     pub fn wire_f64s(&self) -> usize {
         self.sums.len() + self.counts.len()
     }

@@ -231,7 +231,7 @@ impl<'a> ShardClient<'a> {
         kr_obs::counter!("client.dists_computed", pass.dists_computed, "k" => k);
         kr_obs::counter!("client.dists_skipped", pass.dists_skipped, "k" => k);
         self.snapshot = Some(b.summary.clone());
-        let stats = fold_stats(data, (k, m), b.round, |i| {
+        let stats = fold_stats(data, &b.summary, (k, m), b.round, |i| {
             let c = bounds.label(i);
             (c, ops::sqdist(data.row(i), centroids.row(c)))
         });
@@ -612,8 +612,9 @@ mod tests {
             let Step::Reply(Msg::LocalStats(got)) = step else {
                 panic!("{what}: expected stats in round {round}");
             };
-            let grid = summary.materialize().unwrap();
-            let want = crate::protocol::compute_local_stats(data, &grid, round, &ExecCtx::serial());
+            let want =
+                crate::protocol::compute_local_stats(data, summary, round, &ExecCtx::serial())
+                    .unwrap();
             let ctx = format!("{what}, round {round}");
             assert_eq!(got.round, round, "{ctx}");
             assert_eq!(got.stats.counts, want.stats.counts, "{ctx}: counts");

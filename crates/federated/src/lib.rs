@@ -37,10 +37,15 @@
 //!    This is the *downlink* cost plotted in Figure 10.
 //! 2. **Local statistics** — each client assigns its points to the
 //!    nearest (aggregated) centroid and uploads per-cluster coordinate
-//!    sums and counts, plus its partial inertia as telemetry.
+//!    sums and counts, plus its partial inertia as telemetry. Under the
+//!    Sum aggregator a `KR-FkM` client uploads each protocentroid's
+//!    marginal sum instead of every cluster's (`(Σ h_l)·m` floats
+//!    instead of `k·m`, plus the `k` counts), which is all the Sum
+//!    closed forms read.
 //! 3. **Server update** — aggregated statistics drive the exact k-Means
-//!    mean update, or the Proposition 6.1 closed forms
-//!    ([`kr_core::kr_kmeans::prop61_update_from_stats`]) for `KR-FkM`.
+//!    mean update, or the Proposition 6.1 closed forms for `KR-FkM`
+//!    ([`kr_core::kr_kmeans::prop61_update_from_marginals`] under Sum,
+//!    [`kr_core::kr_kmeans::prop61_update_from_stats`] under Product).
 //!
 //! Because the closed forms need only sufficient statistics, one
 //! federated round is mathematically identical to one centralized Lloyd /
@@ -203,9 +208,14 @@ impl KrFkM {
 /// client-reported partials, so the result equals a round's reported
 /// inertia bitwise, at any thread count.
 pub fn global_inertia_with(clients: &[Client], centroids: &Matrix, exec: &ExecCtx) -> f64 {
+    let summary = protocol::Summary::Centroids(centroids.clone());
     clients
         .iter()
-        .map(|c| protocol::compute_local_stats(&c.data, centroids, 0, exec).inertia)
+        .map(|c| {
+            protocol::compute_local_stats(&c.data, &summary, 0, exec)
+                .expect("a centroid summary is its own grid")
+                .inertia
+        })
         .sum()
 }
 
@@ -326,9 +336,25 @@ mod tests {
     #[test]
     fn measured_bytes_equal_closed_form_accounting() {
         // The counters come from real frames; they must equal the
-        // paper's closed forms for both algorithms.
+        // paper's closed forms per client per round: `k·m` words down
+        // for FkM and `(Σh)·m` for KR-FkM; `k·m + k` up for FkM and
+        // Product KR-FkM, whose clients send every cell's sum, and
+        // `(Σh)·m + k` for Sum KR-FkM, whose clients send each
+        // protocentroid's marginal sum.
         let (clients, _) = make_clients(4, 20);
         let (n_clients, m, rounds) = (4usize, 2usize, 5usize);
+        let check = |model: &FederatedModel, down: usize, up: usize, what: &str| {
+            for (r, h) in model.history.iter().enumerate() {
+                let per_round = (r + 1) * n_clients * BYTES_PER_F64;
+                assert_eq!(h.downlink_bytes, per_round * down, "{what}: round {r}");
+                assert_eq!(h.uplink_bytes, per_round * up, "{what}: round {r}");
+            }
+            // Full frame traffic strictly exceeds the accounted stats
+            // (framing overhead, bootstrap, acks, eval).
+            let last = model.history.last().unwrap();
+            assert!(model.wire.frame_bytes_down > last.downlink_bytes, "{what}");
+            assert!(model.wire.frame_bytes_up > last.uplink_bytes, "{what}");
+        };
         let fkm = FkM {
             k: 9,
             rounds,
@@ -336,40 +362,28 @@ mod tests {
         }
         .run(&clients)
         .unwrap();
-        for (r, h) in fkm.history.iter().enumerate() {
-            assert_eq!(
-                h.downlink_bytes,
-                (r + 1) * n_clients * 9 * m * BYTES_PER_F64
-            );
-            assert_eq!(
-                h.uplink_bytes,
-                (r + 1) * n_clients * (9 * m + 9) * BYTES_PER_F64
-            );
-        }
-        let kr = KrFkM {
-            hs: vec![3, 3],
-            aggregator: Aggregator::Sum,
-            rounds,
-            seed: 9,
-        }
-        .run(&clients)
-        .unwrap();
-        let params = (3 + 3) * m;
-        let k_grid = 9;
-        for (r, h) in kr.history.iter().enumerate() {
-            assert_eq!(
-                h.downlink_bytes,
-                (r + 1) * n_clients * params * BYTES_PER_F64
-            );
-            assert_eq!(
-                h.uplink_bytes,
-                (r + 1) * n_clients * (k_grid * m + k_grid) * BYTES_PER_F64
-            );
-        }
-        // Full frame traffic strictly exceeds the accounted stats
-        // (framing overhead, bootstrap, acks, eval).
-        assert!(kr.wire.frame_bytes_down > kr.history.last().unwrap().downlink_bytes);
-        assert!(kr.wire.frame_bytes_up > kr.history.last().unwrap().uplink_bytes);
+        check(&fkm, 9 * m, 9 * m + 9, "FkM");
+        let kr = |hs: Vec<usize>, aggregator| {
+            KrFkM {
+                hs,
+                aggregator,
+                rounds,
+                seed: 9,
+            }
+            .run(&clients)
+            .unwrap()
+        };
+        let product = kr(vec![3, 3], Aggregator::Product);
+        check(&product, (3 + 3) * m, 9 * m + 9, "Product KR-FkM");
+        let sum = kr(vec![3, 3], Aggregator::Sum);
+        check(&sum, (3 + 3) * m, (3 + 3) * m + 9, "Sum KR-FkM");
+        let three = kr(vec![2, 2, 3], Aggregator::Sum);
+        check(
+            &three,
+            (2 + 2 + 3) * m,
+            (2 + 2 + 3) * m + 12,
+            "three-set Sum KR-FkM",
+        );
     }
 
     #[test]
@@ -519,11 +533,15 @@ mod tests {
     #[test]
     fn federated_stats_update_matches_centralized_pass() {
         // One KR-FkM round from a fixed state == one centralized
-        // Prop. 6.1 pass with the same assignments. Both run the same
-        // closed-form core on each cluster's point-order sum, so one
-        // client matches bitwise; four clients regroup those sums, so
-        // they match within rounding.
+        // Prop. 6.1 pass with the same assignments. Clients reply in the
+        // layout the broadcast asks for (marginal sums under Sum, cell
+        // sums under Product), built from each cluster's point-order sum
+        // as the centralized pass builds it, so one client matches
+        // bitwise; four clients regroup those sums, so they match within
+        // rounding. The cell statistics the stream updates from match
+        // bitwise too.
         let blobs = kr_datasets::synthetic::blobs(80, 2, 4, 0.5, 11).data;
+        let serial = ExecCtx::serial();
         for agg in [Aggregator::Sum, Aggregator::Product] {
             // Product runs on the blobs shifted by +20, away from zero.
             let (shift, rows) = match agg {
@@ -545,25 +563,32 @@ mod tests {
                 &mut central,
                 agg,
                 0,
-                &ExecCtx::serial(),
+                &serial,
             );
+            let summary = protocol::Summary::ProtoSets {
+                aggregator: agg,
+                sets: sets.clone(),
+            };
             for n_clients in [1usize, 4] {
-                // Merge the client stats in client order, update from
-                // stats.
+                // Merge the client replies in client order, update from
+                // them as the server does.
                 let client_of: Vec<usize> = (0..80).map(|i| i % n_clients).collect();
                 let clients = shard_by_assignment(&data, &client_of, n_clients);
-                let mut stats = kr_core::stats::SuffStats::zeros(centroids.nrows(), 2);
+                let mut stats = kr_core::stats::SuffStats {
+                    sums: Matrix::zeros(summary.sum_rows(), 2),
+                    counts: vec![0; centroids.nrows()],
+                };
                 for (i, client) in clients.iter().enumerate() {
-                    let local = protocol::compute_local_stats(
-                        &client.data,
-                        &centroids,
-                        i as u32,
-                        &ExecCtx::serial(),
-                    );
+                    let local =
+                        protocol::compute_local_stats(&client.data, &summary, i as u32, &serial)
+                            .unwrap();
                     stats.merge(&local.stats).unwrap();
                 }
-                let mut fed = sets.clone();
-                prop61_update_from_stats(&stats.sums, &stats.counts_usize(), &mut fed, agg);
+                let mut fed = summary.clone();
+                fed.apply_stats(&stats);
+                let protocol::Summary::ProtoSets { sets: fed, .. } = fed else {
+                    unreachable!()
+                };
                 for (a, b) in central.iter().zip(fed.iter()) {
                     if n_clients == 1 {
                         assert_eq!(a, b, "{agg:?}: one client != centralized");
@@ -573,6 +598,21 @@ mod tests {
                     }
                 }
             }
+            let cells = protocol::compute_local_stats(
+                &data,
+                &protocol::Summary::Centroids(centroids),
+                0,
+                &serial,
+            )
+            .unwrap();
+            let mut streamed = sets.clone();
+            prop61_update_from_stats(
+                &cells.stats.sums,
+                &cells.stats.counts_usize(),
+                &mut streamed,
+                agg,
+            );
+            assert_eq!(central, streamed, "{agg:?}: cell statistics != centralized");
         }
     }
 }

@@ -59,7 +59,7 @@ pub fn pair_key(seed: u64, a: u32, b: u32, round: u32) -> u64 {
 }
 
 /// Serializes one round's statistics to the masked-upload word layout:
-/// `k·m` sum bit-patterns (row-major), `k` counts, `1` inertia
+/// `rows·m` sum bit-patterns (row-major), `k` counts, `1` inertia
 /// bit-pattern.
 pub fn stats_to_words(stats: &LocalStats) -> Vec<u64> {
     let mut words = Vec::with_capacity(stats.stats.sums.len() + stats.stats.counts.len() + 1);
@@ -69,26 +69,32 @@ pub fn stats_to_words(stats: &LocalStats) -> Vec<u64> {
     words
 }
 
-/// Rebuilds [`LocalStats`] from the word layout — the exact inverse of
-/// [`stats_to_words`] (bit patterns round-trip, so a mask/unmask cycle
-/// is lossless).
-pub fn words_to_stats(round: u32, k: usize, m: usize, words: &[u64]) -> Result<LocalStats> {
-    if words.len() != MaskedStats::word_count(k, m) {
+/// Rebuilds [`LocalStats`] from the word layout of `rows x m` sums and
+/// `k` counts — the exact inverse of [`stats_to_words`] (bit patterns
+/// round-trip, so a mask/unmask cycle is lossless).
+pub fn words_to_stats(
+    round: u32,
+    (rows, k, m): (usize, usize, usize),
+    words: &[u64],
+) -> Result<LocalStats> {
+    let want = MaskedStats::word_count(rows, k, m);
+    if words.len() != want {
         return Err(CoreError::Transport(format!(
-            "masked upload has {} words, expected {} for k={k} m={m}",
+            "masked upload has {} words, expected {want} for rows={rows} k={k} m={m}",
             words.len(),
-            MaskedStats::word_count(k, m)
         )));
     }
-    let sums = if k == 0 || m == 0 {
-        Matrix::zeros(k, m)
+    // The count matched, so `rows·m + k + 1` did not saturate.
+    let n_sums = rows * m;
+    let sums = if rows == 0 || m == 0 {
+        Matrix::zeros(rows, m)
     } else {
-        let data: Vec<f64> = words[..k * m].iter().map(|&w| f64::from_bits(w)).collect();
-        Matrix::from_vec(k, m, data)
+        let data: Vec<f64> = words[..n_sums].iter().map(|&w| f64::from_bits(w)).collect();
+        Matrix::from_vec(rows, m, data)
             .map_err(|_| CoreError::Transport("masked upload shape".into()))?
     };
-    let counts = words[k * m..k * m + k].to_vec();
-    let inertia = f64::from_bits(words[k * m + k]);
+    let counts = words[n_sums..n_sums + k].to_vec();
+    let inertia = f64::from_bits(words[n_sums + k]);
     Ok(LocalStats {
         round,
         stats: SuffStats { sums, counts },
@@ -134,7 +140,8 @@ pub fn mask_stats(stats: &LocalStats, spec: &MaskSpec, id: u32) -> MaskedStats {
     mask_words(&mut words, spec, id, stats.round);
     MaskedStats {
         round: stats.round,
-        k: stats.stats.sums.nrows() as u32,
+        rows: stats.stats.sums.nrows() as u32,
+        k: stats.stats.counts.len() as u32,
         m: stats.stats.sums.ncols() as u32,
         words,
     }
@@ -143,17 +150,10 @@ pub fn mask_stats(stats: &LocalStats, spec: &MaskSpec, id: u32) -> MaskedStats {
 /// The server side: remove reporter `id`'s masks and rebuild its exact
 /// plaintext statistics.
 pub fn unmask_stats(masked: &MaskedStats, spec: &MaskSpec, id: u32) -> Result<LocalStats> {
-    let (k, m) = (masked.k as usize, masked.m as usize);
     let mut words = masked.words.clone();
-    if words.len() != MaskedStats::word_count(k, m) {
-        return Err(CoreError::Transport(format!(
-            "masked upload has {} words, expected {}",
-            words.len(),
-            MaskedStats::word_count(k, m)
-        )));
-    }
     unmask_words(&mut words, spec, id, masked.round);
-    words_to_stats(masked.round, k, m, &words)
+    let layout = (masked.rows as usize, masked.k as usize, masked.m as usize);
+    words_to_stats(masked.round, layout, &words)
 }
 
 #[cfg(test)]
@@ -226,10 +226,20 @@ mod tests {
         };
         let bad = MaskedStats {
             round: 0,
+            rows: 2,
             k: 2,
             m: 3,
             words: vec![0; 4],
         };
         assert!(unmask_stats(&bad, &spec, 0).is_err());
+        // A header whose shape multiplies past usize is refused, not
+        // allocated or overflowed.
+        let huge = MaskedStats {
+            rows: u32::MAX,
+            k: u32::MAX,
+            m: u32::MAX,
+            ..bad
+        };
+        assert!(unmask_stats(&huge, &spec, 0).is_err());
     }
 }

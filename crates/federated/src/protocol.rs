@@ -17,9 +17,11 @@
 //! 3. **Rounds** — the server broadcasts the model summary
 //!    ([`Broadcast`]: `k·m` floats for FkM, `(Σ h_l)·m` for KR-FkM —
 //!    the downlink cost of Figure 10), each client replies with
-//!    sufficient statistics and its partial inertia ([`LocalStats`]),
-//!    and the server closes the round with [`RoundAck`]. The final ack
-//!    carries `done = true` and shuts the client down.
+//!    sufficient statistics and its partial inertia ([`LocalStats`]:
+//!    `k·m` cell sums and `k` counts, or `(Σ h_l)·m` marginal sums and
+//!    `k` counts under a Sum broadcast), and the server closes the round
+//!    with [`RoundAck`]. The final ack carries `done = true` and shuts
+//!    the client down.
 //!
 //! The *state machines* are pure: [`Summary::apply_stats`] turns
 //! aggregated statistics into the next summary (exact mean update for
@@ -32,7 +34,7 @@
 
 use kr_core::aggregator::Aggregator;
 use kr_core::kmeans::{mean_update, nearest_centroid};
-use kr_core::kr_kmeans::prop61_update_from_stats;
+use kr_core::kr_kmeans::{marginal_sums, prop61_update_from_marginals, prop61_update_from_stats};
 use kr_core::operator::khatri_rao;
 use kr_core::stats::SuffStats;
 use kr_core::Result;
@@ -99,6 +101,39 @@ impl Summary {
         }
     }
 
+    /// Number of sum rows a reply to this summary carries: the `Σ h_l`
+    /// protocentroid marginals under Sum protocentroid sets, one row per
+    /// centroid otherwise (saturating, like [`Summary::grid_size`]).
+    pub fn sum_rows(&self) -> usize {
+        match self {
+            Summary::ProtoSets {
+                aggregator: Aggregator::Sum,
+                sets,
+            } => sets.iter().map(Matrix::nrows).sum(),
+            _ => self.grid_size(),
+        }
+    }
+
+    /// Lays cell statistics (`k x m` sums folded in point order, `k`
+    /// counts) out as a reply to this summary: Sum protocentroid sets
+    /// take each protocentroid's marginal sum ([`marginal_sums`]),
+    /// which is all their update reads; other summaries keep the cells.
+    pub fn reply_layout(&self, stats: SuffStats) -> SuffStats {
+        match self {
+            Summary::ProtoSets {
+                aggregator: Aggregator::Sum,
+                sets,
+            } => {
+                let hs: Vec<usize> = sets.iter().map(Matrix::nrows).collect();
+                SuffStats {
+                    sums: marginal_sums(&stats.sums, &stats.counts_usize(), &hs),
+                    counts: stats.counts,
+                }
+            }
+            _ => stats,
+        }
+    }
+
     /// Whether every summary parameter is finite.
     pub fn all_finite(&self) -> bool {
         match self {
@@ -107,17 +142,23 @@ impl Summary {
         }
     }
 
-    /// The server's round update from one round's aggregated statistics:
-    /// the exact mean update for FkM ([`mean_update`], the one `KMeans`
-    /// runs; clusters that captured no points keep their stale centroid —
-    /// the server holds no raw data to reseed from), or the Proposition
-    /// 6.1 closed forms for KR-FkM.
+    /// The server's round update from one round's aggregated statistics,
+    /// laid out as [`Summary::reply_layout`] lays replies out: the exact
+    /// mean update for FkM ([`mean_update`], the one `KMeans` runs;
+    /// clusters that captured no points keep their stale centroid — the
+    /// server holds no raw data to reseed from), or the Proposition 6.1
+    /// closed forms for KR-FkM, from the marginals under Sum and from
+    /// the cells under Product.
     pub fn apply_stats(&mut self, stats: &SuffStats) {
         match self {
             Summary::Centroids(centroids) => {
                 let counts: Vec<f64> = stats.counts.iter().map(|&c| c as f64).collect();
                 mean_update(centroids, &stats.sums, &counts, |_| 0.0);
             }
+            Summary::ProtoSets {
+                aggregator: Aggregator::Sum,
+                sets,
+            } => prop61_update_from_marginals(&stats.sums, &stats.counts_usize(), sets),
             Summary::ProtoSets { aggregator, sets } => {
                 prop61_update_from_stats(&stats.sums, &stats.counts_usize(), sets, *aggregator);
             }
@@ -175,8 +216,10 @@ pub struct Broadcast {
 pub struct LocalStats {
     /// Round index this reply answers.
     pub round: u32,
-    /// Per-cluster coordinate sums and counts under the received
-    /// summary.
+    /// Coordinate sums and the `k` per-cluster counts under the received
+    /// summary, laid out by [`Summary::reply_layout`]: `k x m` cell sums
+    /// for FkM and Product KR-FkM (`(k·m + k)·8` bytes accounted),
+    /// `(Σ h_l) x m` marginal sums for Sum KR-FkM (`((Σ h_l)·m + k)·8`).
     pub stats: SuffStats,
     /// The client's partial inertia under the received summary
     /// (telemetry; excluded from the byte accounting).
@@ -188,28 +231,39 @@ pub struct LocalStats {
 /// [`MaskSpec`]).
 ///
 /// `words` is the client's [`LocalStats`] serialized to 64-bit words —
-/// `k·m` sum bit-patterns, then `k` counts, then one inertia
+/// `rows·m` sum bit-patterns, then `k` counts, then one inertia
 /// bit-pattern — with the client's pairwise masks wrapping-added in the
 /// bit domain (see [`crate::mask`]). The sums + counts sections account
 /// as summary-statistic bytes exactly like a plaintext upload
-/// (`(k·m + k)·8`), so masking never changes the Figure 10 accounting.
+/// (`(rows·m + k)·8`, with `rows` = `k`, or `Σ h_l` under a Sum
+/// broadcast), so masking never changes the Figure 10 accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskedStats {
     /// Round index this reply answers.
     pub round: u32,
-    /// Number of clusters the statistics cover.
+    /// Number of sum rows ([`Summary::sum_rows`]).
+    pub rows: u32,
+    /// Number of clusters the statistics count.
     pub k: u32,
     /// Feature dimension.
     pub m: u32,
-    /// Masked words: `k·m` sums, `k` counts, `1` inertia — in that
-    /// order (`k·m + k + 1` words total).
+    /// Masked words: `rows·m` sums, `k` counts, `1` inertia — in that
+    /// order (`rows·m + k + 1` words total).
     pub words: Vec<u64>,
 }
 
 impl MaskedStats {
-    /// Number of words a `k x m` masked upload carries.
-    pub fn word_count(k: usize, m: usize) -> usize {
-        k * m + k + 1
+    /// Number of words a masked upload of `rows x m` sums and `k` counts
+    /// carries, saturating at `usize::MAX` (a header off the wire can
+    /// multiply past it; no word vector is that long).
+    pub fn word_count(rows: usize, k: usize, m: usize) -> usize {
+        rows.saturating_mul(m).saturating_add(k).saturating_add(1)
+    }
+
+    /// Number of words that account as summary statistics: the sums and
+    /// the counts (`rows·m + k`, saturating).
+    pub fn stat_words(&self) -> usize {
+        Self::word_count(self.rows as usize, self.k as usize, self.m as usize) - 1
     }
 }
 
@@ -306,35 +360,42 @@ pub enum Msg {
 // ---- client-side round computation --------------------------------------
 
 /// Computes one round's [`LocalStats`] for a shard with the exhaustive
-/// scan: [`nearest_centroid`] per point (chunk-parallel on `exec`,
-/// bitwise thread-invariant), then per-cluster sums/counts and the
-/// partial inertia summed serially in point order. This is the reference
-/// a [`ShardClient`](crate::client::ShardClient)'s bounds-gated reply
+/// scan: [`nearest_centroid`] per point against the summary's grid
+/// (chunk-parallel on `exec`, bitwise thread-invariant), then per-cluster
+/// sums/counts and the partial inertia summed serially in point order,
+/// laid out by [`Summary::reply_layout`]. This is the reference a
+/// [`ShardClient`](crate::client::ShardClient)'s bounds-gated reply
 /// equals bitwise, and the scorer behind
 /// [`global_inertia_with`](crate::global_inertia_with).
 ///
-/// A non-empty shard needs at least one centroid of its own width;
+/// Fails on a summary that does not expand to a grid. A non-empty shard
+/// needs at least one centroid of its own width;
 /// [`ShardClient`](crate::client::ShardClient) rejects other broadcasts.
 pub fn compute_local_stats(
     data: &Matrix,
-    centroids: &Matrix,
+    summary: &Summary,
     round: u32,
     exec: &ExecCtx,
-) -> LocalStats {
+) -> Result<LocalStats> {
+    let centroids = summary.materialize()?;
     let mut best: Vec<(usize, f64)> = vec![(0, 0.0); data.nrows()];
     parallel::map_rows_into(exec, &mut best, 1, 1, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = nearest_centroid(data.row(start + off), centroids);
+            *slot = nearest_centroid(data.row(start + off), &centroids);
         }
     });
-    fold_stats(data, centroids.shape(), round, |i| best[i])
+    Ok(fold_stats(data, summary, centroids.shape(), round, |i| {
+        best[i]
+    }))
 }
 
 /// Sums one round's [`LocalStats`] over a `k x m` grid serially in point
 /// order from each point's `(label, squared distance)`: per-cluster sums
-/// and counts, and the partial inertia.
+/// and counts, laid out for `summary` ([`Summary::reply_layout`]), and
+/// the partial inertia.
 pub(crate) fn fold_stats(
     data: &Matrix,
+    summary: &Summary,
     (k, m): (usize, usize),
     round: u32,
     mut nearest: impl FnMut(usize) -> (usize, f64),
@@ -349,7 +410,7 @@ pub(crate) fn fold_stats(
     }
     LocalStats {
         round,
-        stats,
+        stats: summary.reply_layout(stats),
         inertia,
     }
 }
@@ -393,7 +454,13 @@ mod tests {
         // each cluster in point order, as the client does.
         let data = kr_datasets::synthetic::blobs(600, 3, 5, 0.5, 11).data;
         let c0 = data.select_rows(&[0, 150, 300, 450, 599]);
-        let local = compute_local_stats(&data, &c0, 0, &ExecCtx::serial());
+        let local = compute_local_stats(
+            &data,
+            &Summary::Centroids(c0.clone()),
+            0,
+            &ExecCtx::serial(),
+        )
+        .unwrap();
         assert!(
             local.stats.counts.iter().all(|&c| c > 0),
             "no empty cluster"
@@ -413,10 +480,11 @@ mod tests {
     #[test]
     fn local_stats_thread_invariant() {
         let ds = kr_datasets::synthetic::blobs(257, 3, 4, 0.5, 3);
-        let centroids = Matrix::from_fn(4, 3, |i, j| (i + j) as f64);
-        let reference = compute_local_stats(&ds.data, &centroids, 0, &ExecCtx::serial());
+        let centroids = Summary::Centroids(Matrix::from_fn(4, 3, |i, j| (i + j) as f64));
+        let reference = compute_local_stats(&ds.data, &centroids, 0, &ExecCtx::serial()).unwrap();
         for threads in [2usize, 8] {
-            let got = compute_local_stats(&ds.data, &centroids, 0, &ExecCtx::threaded(threads));
+            let got =
+                compute_local_stats(&ds.data, &centroids, 0, &ExecCtx::threaded(threads)).unwrap();
             assert_eq!(got.stats, reference.stats, "threads={threads}");
             assert_eq!(got.inertia.to_bits(), reference.inertia.to_bits());
         }
@@ -424,8 +492,9 @@ mod tests {
 
     #[test]
     fn empty_shard_contributes_nothing() {
-        let centroids = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
-        let stats = compute_local_stats(&Matrix::zeros(0, 2), &centroids, 1, &ExecCtx::serial());
+        let centroids = Summary::Centroids(Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64));
+        let stats =
+            compute_local_stats(&Matrix::zeros(0, 2), &centroids, 1, &ExecCtx::serial()).unwrap();
         assert_eq!(stats.inertia, 0.0);
         assert_eq!(stats.stats.counts, vec![0, 0, 0]);
     }

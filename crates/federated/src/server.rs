@@ -16,15 +16,21 @@
 //! in ascending client order ([`fold_connections`]): a reply that
 //! arrives ahead of a lower id waits for it (on a serial exec none
 //! does), masked replies are unmasked first, and only the inertia
-//! partials outlive the fold. The server's round memory is therefore
-//! one `k x m` aggregate, not one `k x m` block per client; the
-//! evaluation exchange keeps no statistics at all.
+//! partials outlive the fold. A reply whose layout disagrees with the
+//! broadcast ([`Summary::sum_rows`] sum rows of width `m`, `k` counts)
+//! is a corrupt client, not a merge error. The server's round memory is
+//! therefore one aggregate of the reply layout — `(Σ h_l)·m + k` words
+//! under Sum KR-FkM, `k·m + k` otherwise — not one such block per
+//! client; the evaluation exchange keeps no statistics at all.
 //!
 //! Byte accounting follows the paper's Figure 10: the per-round
 //! [`RoundStats`] counters accumulate the *measured*
 //! summary-statistic bytes of the actual broadcast and upload frames
 //! ([`FrameInfo::stat_bytes`](crate::wire::FrameInfo)), which equal the
-//! closed forms `clients·k·m·8` down and `clients·(k·m + k)·8` up. The
+//! closed forms, per client per round: `k·m·8` down for FkM and
+//! `(Σ h_l)·m·8` for KR-FkM; `(k·m + k)·8` up for FkM and Product
+//! KR-FkM, `((Σ h_l)·m + k)·8` for Sum KR-FkM, whose clients send each
+//! protocentroid's marginal sum instead of every cell's. The
 //! bootstrap exchanges carry no summary statistics (identical
 //! bookkeeping for both algorithms, hence uncounted, like the paper)
 //! and the trailing evaluation broadcast is deliberately excluded —
@@ -244,7 +250,10 @@ impl FederatedServer {
             // ascending client order: absent shards contribute nothing,
             // so the mean / Proposition 6.1 updates renormalize over the
             // survivors.
-            let mut agg = SuffStats::zeros(state.grid_size(), m);
+            let mut agg = SuffStats {
+                sums: Matrix::zeros(state.sum_rows(), m),
+                counts: vec![0; state.grid_size()],
+            };
             let outcome = driver.round_exchange(broadcast, ack_round, quorum, Some(&mut agg))?;
             down += outcome.stat_down;
             up += outcome.stat_up;
@@ -482,12 +491,15 @@ impl<'e, C: Connection> Driver<'e, C> {
     /// discards stale frames for closed rounds, unmasks masked uploads,
     /// and applies the strict/quorum failure policy.
     ///
-    /// Replies are folded in ascending client order as they arrive:
-    /// each reporter's statistics are merged into `agg` (the eval-only
-    /// exchange passes `None` and keeps none) and dropped, so the round
-    /// holds one `k x m` aggregate plus only the replies that arrive
-    /// ahead of a lower id (none on a serial exec), instead of one
-    /// `k x m` block per client.
+    /// Each worker checks its reply's layout against the broadcast
+    /// ([`check_layout`]) and classifies a mismatch as
+    /// [`FailureKind::Corrupt`], so every reply that reaches the fold
+    /// merges. Replies are folded in ascending client order as they
+    /// arrive: each reporter's statistics are merged into `agg` (the
+    /// eval-only exchange passes `None` and keeps none) and dropped, so
+    /// the round holds one aggregate plus only the replies that arrive
+    /// ahead of a lower id (none on a serial exec), instead of one block
+    /// per client.
     fn round_exchange(
         &mut self,
         next: Broadcast,
@@ -518,7 +530,7 @@ impl<'e, C: Connection> Driver<'e, C> {
             failures: Vec::new(),
         };
         let mut first_err: Option<CoreError> = None;
-        let mut merge_err: Option<CoreError> = None;
+        let layout = (next.summary.sum_rows(), self.m, next.summary.grid_size());
         let exec = self.exec;
         let (wire, active, missed) = (&mut self.wire, &mut self.active, &mut self.missed);
         let worker = |i: usize, conn: &mut C| {
@@ -573,15 +585,10 @@ impl<'e, C: Connection> Driver<'e, C> {
                             report.stale_bytes += info.frame_bytes;
                             continue;
                         }
-                        break match (reply, mask) {
-                            (Msg::LocalStats(stats), None) if stats.round == round => {
-                                ConnResult::Reported { stats, up: info }
-                            }
+                        let stats = match (reply, mask) {
+                            (Msg::LocalStats(stats), None) if stats.round == round => Ok(stats),
                             (Msg::MaskedStats(masked), Some(spec)) if masked.round == round => {
-                                match mask::unmask_stats(&masked, spec, ids[i]) {
-                                    Ok(stats) => ConnResult::Reported { stats, up: info },
-                                    Err(e) => ConnResult::Failed(FailureKind::Corrupt, e),
-                                }
+                                mask::unmask_stats(&masked, spec, ids[i])
                             }
                             (other, _) => {
                                 let expected = if mask.is_some() {
@@ -589,11 +596,12 @@ impl<'e, C: Connection> Driver<'e, C> {
                                 } else {
                                     "LocalStats"
                                 };
-                                ConnResult::Failed(
-                                    FailureKind::Corrupt,
-                                    protocol_err(expected, &other),
-                                )
+                                Err(protocol_err(expected, &other))
                             }
+                        };
+                        break match stats.and_then(|s| check_layout(s, layout)) {
+                            Ok(stats) => ConnResult::Reported { stats, up: info },
+                            Err(e) => ConnResult::Failed(FailureKind::Corrupt, e),
                         };
                     }
                 }
@@ -621,9 +629,8 @@ impl<'e, C: Connection> Driver<'e, C> {
                     outcome.reporters += 1;
                     outcome.inertias.push(stats.inertia);
                     if let Some(agg) = agg.as_deref_mut() {
-                        if let Err(e) = agg.merge(&stats.stats) {
-                            merge_err.get_or_insert(e);
-                        }
+                        agg.merge(&stats.stats)
+                            .expect("the worker checked the reply's layout");
                     }
                 }
                 ConnResult::Failed(kind, err) => {
@@ -669,11 +676,6 @@ impl<'e, C: Connection> Driver<'e, C> {
                     )));
                 }
             }
-        }
-        // A reply of another grid shape cannot be merged: after the
-        // failure policy, as when replies were merged after the exchange.
-        if let Some(err) = merge_err {
-            return Err(err);
         }
         Ok(outcome)
     }
@@ -836,6 +838,21 @@ impl<'e, C: Connection> Driver<'e, C> {
         }
         Ok(sum)
     }
+}
+
+/// Passes `stats` if it lays out as the round's broadcast asks — `rows`
+/// sum rows of width `m` ([`Summary::sum_rows`]) and `k` counts — and
+/// fails with a transport error otherwise.
+fn check_layout(stats: LocalStats, (rows, m, k): (usize, usize, usize)) -> Result<LocalStats> {
+    let (got_rows, got_m) = stats.stats.sums.shape();
+    if (got_rows, got_m, stats.stats.counts.len()) == (rows, m, k) {
+        return Ok(stats);
+    }
+    Err(CoreError::Transport(format!(
+        "reply carries {got_rows}x{got_m} sums and {} counts, the broadcast asks for \
+         {rows}x{m} and {k}",
+        stats.stats.counts.len()
+    )))
 }
 
 fn protocol_err(expected: &str, got: &Msg) -> CoreError {

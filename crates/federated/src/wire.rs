@@ -17,9 +17,15 @@
 //! protocentroid `f64` blocks of a broadcast, and the sums + counts
 //! blocks of an upload ([`FrameInfo::stat_bytes`]). Those measured
 //! counts are what [`crate::RoundStats`] accumulates, and they equal the
-//! paper's closed-form Figure 10 accounting (`k·m` words down,
-//! `k·m + k` words up, 8 bytes per word) by construction — a property
-//! the wire tests assert. Everything else (tags, shapes, round indices,
+//! paper's closed-form Figure 10 accounting by construction — a property
+//! the wire tests assert. Down, a broadcast carries `k·m` words for FkM
+//! and `(Σ h_l)·m` for KR-FkM. Up, a reply carries `rows·m` sums and `k`
+//! counts: `k·m + k` words for FkM and Product KR-FkM, `(Σ h_l)·m + k`
+//! for Sum KR-FkM, whose clients send each protocentroid's marginal sum.
+//! Every word is 8 bytes. An upload whose sum-row count differs from `k`
+//! travels under its own tag, whose header carries `k` as well; a
+//! cell-form upload keeps the frame it always had. Everything else
+//! (tags, shapes, round indices,
 //! control messages, the per-round inertia telemetry float) is framing
 //! overhead, reported separately via [`FrameInfo::frame_bytes`].
 //!
@@ -182,6 +188,11 @@ const TAG_BROADCAST: u8 = 10;
 const TAG_LOCAL_STATS: u8 = 11;
 const TAG_ROUND_ACK: u8 = 12;
 const TAG_MASKED_STATS: u8 = 13;
+/// A [`LocalStats`] or [`MaskedStats`] upload whose sum rows are not one
+/// per cluster (Sum KR-FkM marginals): its header adds the count of
+/// counts.
+const TAG_MARGINAL_STATS: u8 = 14;
+const TAG_MASKED_MARGINAL_STATS: u8 = 15;
 
 /// Encodes a message into one frame (length prefix included), measuring
 /// its sizes from the bytes actually written.
@@ -244,11 +255,19 @@ pub fn encode(msg: &Msg) -> (Vec<u8>, FrameInfo) {
             e.finish()
         }
         Msg::LocalStats(s) => {
-            let mut e = Enc::new(TAG_LOCAL_STATS);
+            let (rows, k) = (s.stats.sums.nrows(), s.stats.counts.len());
+            let mut e = Enc::new(if rows == k {
+                TAG_LOCAL_STATS
+            } else {
+                TAG_MARGINAL_STATS
+            });
             e.u32(s.round);
             e.f64(s.inertia); // telemetry, not accounted
-            e.u32(s.stats.sums.nrows() as u32);
+            e.u32(rows as u32);
             e.u32(s.stats.sums.ncols() as u32);
+            if rows != k {
+                e.u32(k as u32);
+            }
             e.stat_section(|e| {
                 for &v in s.stats.sums.as_slice() {
                     e.f64(v);
@@ -262,11 +281,18 @@ pub fn encode(msg: &Msg) -> (Vec<u8>, FrameInfo) {
             e.finish()
         }
         Msg::MaskedStats(s) => {
-            let mut e = Enc::new(TAG_MASKED_STATS);
+            let mut e = Enc::new(if s.rows == s.k {
+                TAG_MASKED_STATS
+            } else {
+                TAG_MASKED_MARGINAL_STATS
+            });
             e.u32(s.round);
+            if s.rows != s.k {
+                e.u32(s.rows);
+            }
             e.u32(s.k);
             e.u32(s.m);
-            let stat_words = (s.k as usize) * (s.m as usize) + s.k as usize;
+            let stat_words = s.stat_words();
             // Masked sums + counts account exactly like a plaintext
             // upload; the trailing masked-inertia word is telemetry.
             e.stat_section(|e| {
@@ -357,7 +383,7 @@ pub fn stat_bytes(msg: &Msg) -> usize {
     match msg {
         Msg::Broadcast(b) => 8 * b.summary.param_f64s(),
         Msg::LocalStats(s) => 8 * s.stats.wire_f64s(),
-        Msg::MaskedStats(s) => 8 * ((s.k as usize) * (s.m as usize) + s.k as usize),
+        Msg::MaskedStats(s) => 8usize.saturating_mul(s.stat_words()),
         Msg::RoundAck(a) => a.next.as_ref().map_or(0, |b| 8 * b.summary.param_f64s()),
         _ => 0,
     }
@@ -419,6 +445,12 @@ impl<'a> Dec<'a> {
     fn matrix(&mut self) -> Result<Matrix, WireError> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
+        self.matrix_body(rows, cols)
+    }
+
+    /// The row-major `f64` block of a `rows x cols` matrix whose shape
+    /// was read already.
+    fn matrix_body(&mut self, rows: usize, cols: usize) -> Result<Matrix, WireError> {
         let len = rows
             .checked_mul(cols)
             .filter(|&l| l <= MAX_FRAME_LEN / 8)
@@ -486,12 +518,19 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, WireError> {
             count: d.u64()?,
         },
         TAG_BROADCAST => Msg::Broadcast(dec_broadcast(&mut d)?),
-        TAG_LOCAL_STATS => {
+        TAG_LOCAL_STATS | TAG_MARGINAL_STATS => {
             let round = d.u32()?;
             let inertia = d.f64()?;
-            let sums = d.matrix()?;
-            let mut counts = Vec::with_capacity(sums.nrows());
-            for _ in 0..sums.nrows() {
+            let rows = d.u32()? as usize;
+            let cols = d.u32()? as usize;
+            let k = if tag == TAG_MARGINAL_STATS {
+                d.u32()? as usize
+            } else {
+                rows
+            };
+            let sums = d.matrix_body(rows, cols)?;
+            let mut counts = Vec::with_capacity(k.min(d.buf.len() / 8 + 1));
+            for _ in 0..k {
                 counts.push(d.u64()?);
             }
             Msg::LocalStats(LocalStats {
@@ -500,20 +539,31 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, WireError> {
                 stats: SuffStats { sums, counts },
             })
         }
-        TAG_MASKED_STATS => {
+        TAG_MASKED_STATS | TAG_MASKED_MARGINAL_STATS => {
             let round = d.u32()?;
+            let rows = if tag == TAG_MASKED_MARGINAL_STATS {
+                Some(d.u32()?)
+            } else {
+                None
+            };
             let k = d.u32()?;
             let m = d.u32()?;
-            let n_words = (k as usize)
-                .checked_mul(m as usize)
-                .and_then(|km| km.checked_add(k as usize + 1))
-                .filter(|&n| n <= MAX_FRAME_LEN / 8)
-                .ok_or(WireError::BadValue("masked stats shape"))?;
+            let rows = rows.unwrap_or(k);
+            let n_words = MaskedStats::word_count(rows as usize, k as usize, m as usize);
+            if n_words > MAX_FRAME_LEN / 8 {
+                return Err(WireError::BadValue("masked stats shape"));
+            }
             let mut words = Vec::with_capacity(n_words.min(d.buf.len() / 8 + 1));
             for _ in 0..n_words {
                 words.push(d.u64()?);
             }
-            Msg::MaskedStats(MaskedStats { round, k, m, words })
+            Msg::MaskedStats(MaskedStats {
+                round,
+                rows,
+                k,
+                m,
+                words,
+            })
         }
         TAG_ROUND_ACK => {
             let round = d.u32()?;
@@ -673,6 +723,9 @@ mod tests {
         });
         let (frame, info) = encode(&msg);
         assert_eq!(info.stat_bytes, (2 * 2 + 2) * 8);
+        // Prefix, tag, round, inertia, rows and width: a cell-form upload
+        // carries no separate count of counts.
+        assert_eq!(info.frame_bytes, 4 + 1 + 4 + 8 + 4 + 4 + info.stat_bytes);
         let back = decode_frame(&frame).unwrap();
         match (&msg, &back) {
             (Msg::LocalStats(a), Msg::LocalStats(b)) => {
@@ -686,21 +739,46 @@ mod tests {
     }
 
     #[test]
+    fn marginal_local_stats_round_trip() {
+        // A Sum KR-FkM reply: (Σh)·m marginal sums and k counts, with
+        // the sum-row count and k carried separately.
+        let (rows, k, m) = (5usize, 6usize, 2usize);
+        let stats = SuffStats {
+            sums: Matrix::from_fn(rows, m, |i, j| i as f64 - 0.5 * j as f64),
+            counts: (0..k as u64).collect(),
+        };
+        let msg = Msg::LocalStats(LocalStats {
+            round: 2,
+            inertia: 1.5,
+            stats,
+        });
+        let (frame, info) = encode(&msg);
+        assert_eq!(info.stat_bytes, (rows * m + k) * 8);
+        assert_eq!(info.stat_bytes, stat_bytes(&msg));
+        assert_eq!(
+            info.frame_bytes,
+            4 + 1 + 4 + 8 + 4 + 4 + 4 + info.stat_bytes
+        );
+        assert_eq!(decode_frame(&frame).unwrap(), msg);
+    }
+
+    #[test]
     fn masked_stats_and_mask_spec_round_trip() {
-        let (k, m) = (3usize, 2usize);
-        let words: Vec<u64> = (0..MaskedStats::word_count(k, m) as u64)
+        let (rows, k, m) = (2usize, 3usize, 2usize);
+        let words: Vec<u64> = (0..MaskedStats::word_count(rows, k, m) as u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
         let msg = Msg::MaskedStats(MaskedStats {
             round: 4,
+            rows: rows as u32,
             k: k as u32,
             m: m as u32,
             words,
         });
         let (frame, info) = encode(&msg);
-        // Masked uploads account exactly like plaintext ones: k·m + k
+        // Masked uploads account exactly like plaintext ones: rows·m + k
         // words of summary statistics; the inertia word is telemetry.
-        assert_eq!(info.stat_bytes, (k * m + k) * 8);
+        assert_eq!(info.stat_bytes, (rows * m + k) * 8);
         assert_eq!(info.stat_bytes, stat_bytes(&msg));
         assert_eq!(decode_frame(&frame).unwrap(), msg);
 

@@ -16,9 +16,12 @@
 //! deadline) asserts classification only, never bitwise equality.
 
 use kr_core::aggregator::Aggregator;
+use kr_federated::protocol::{compute_local_stats, Broadcast, Msg, Summary};
 use kr_federated::server::{Algo, FederatedServer, Resilience};
 use kr_federated::transport::local::connect_shards;
 use kr_federated::transport::tcp::{serve_shard, TcpConn, TcpServer};
+use kr_federated::transport::Connection;
+use kr_federated::wire::{self, FrameInfo};
 use kr_federated::{
     faults, shard_by_assignment, Client, FailureKind, FaultAction, FaultPlan, FederatedModel,
 };
@@ -356,6 +359,125 @@ fn delayed_reply_rejoins_after_stale_discard() {
     assert!(model.history[2].failures.is_empty());
 }
 
+/// Answers client `id`'s broadcast of round `round` with well-formed
+/// *cell-form* statistics — `k x m` sums, the layout FkM and Product
+/// replies carry — plaintext or masked as the broadcast asks, where a
+/// Sum broadcast asks for `(Σh)·m` marginal sums.
+struct CellFormReply<C> {
+    inner: C,
+    data: Matrix,
+    id: u32,
+    round: u32,
+    answering: Option<Broadcast>,
+}
+
+impl<C: Connection> Connection for CellFormReply<C> {
+    fn send(&mut self, msg: &Msg) -> kr_core::Result<FrameInfo> {
+        let broadcast = match msg {
+            Msg::Broadcast(b) => Some(b),
+            Msg::RoundAck(a) => a.next.as_ref(),
+            _ => None,
+        };
+        if let Some(b) = broadcast.filter(|b| b.round == self.round) {
+            self.answering = Some(b.clone());
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&mut self) -> kr_core::Result<Option<(Msg, FrameInfo)>> {
+        let got = self.inner.recv()?;
+        let (Some(b), Some(_)) = (self.answering.take(), &got) else {
+            return Ok(got);
+        };
+        let grid = Summary::Centroids(b.summary.materialize()?);
+        let cells = compute_local_stats(&self.data, &grid, b.round, &ExecCtx::serial())?;
+        let reply = match &b.mask {
+            None => Msg::LocalStats(cells),
+            Some(spec) => Msg::MaskedStats(kr_federated::mask::mask_stats(&cells, spec, self.id)),
+        };
+        let (_, info) = wire::encode(&reply);
+        Ok(Some((reply, info)))
+    }
+}
+
+#[test]
+fn mis_shaped_reply_is_a_client_failure_not_a_run_failure() {
+    // Client 1 answers round 1 of a Sum KR-FkM run with cell sums. The
+    // worker checks each reply's layout against the broadcast, so the
+    // reply is a corrupt client: a quorum run drops client 1 for the
+    // round, exactly as if its reply had vanished, and a strict run
+    // returns that client's error.
+    let clients = make_clients(3, 61);
+    let exec = ExecCtx::serial();
+    for mask_seed in [None, Some(5u64)] {
+        let what = if mask_seed.is_some() {
+            "masked"
+        } else {
+            "plaintext"
+        };
+        let resilience = |quorum| Resilience {
+            quorum,
+            mask_seed,
+            ..Resilience::default()
+        };
+        let run = |quorum| {
+            let mut conns: Vec<_> = connect_shards(&clients, &exec)
+                .into_iter()
+                .map(|inner| CellFormReply {
+                    inner,
+                    data: Matrix::zeros(0, 3),
+                    id: u32::MAX,
+                    round: u32::MAX,
+                    answering: None,
+                })
+                .collect();
+            conns[1].data = clients[1].data.clone();
+            conns[1].id = 1;
+            conns[1].round = 1;
+            kr_server(4, 12)
+                .with_resilience(resilience(quorum))
+                .drive(conns, &exec)
+        };
+        let faulted = run(Some(1)).unwrap();
+        assert_eq!(
+            faulted.history[1].failures,
+            vec![(1, FailureKind::Corrupt)],
+            "{what}"
+        );
+        assert_eq!(faulted.history[1].reporters, 2, "{what}");
+        let dropped = run_local(
+            &kr_server(4, 12).with_resilience(resilience(Some(1))),
+            &clients,
+            &Arc::new(FaultPlan::new().with(1, 1, FaultAction::DropReply)),
+            &exec,
+        )
+        .unwrap();
+        assert_eq!(
+            dropped.history[1].failures,
+            vec![(1, FailureKind::Timeout)],
+            "{what}"
+        );
+        for (x, y) in faulted
+            .centroids
+            .as_slice()
+            .iter()
+            .zip(dropped.centroids.as_slice())
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: centroid bits differ");
+        }
+        for (f, d) in faulted.history.iter().zip(&dropped.history) {
+            assert_eq!(f.inertia.to_bits(), d.inertia.to_bits(), "{what}");
+            assert_eq!(f.uplink_bytes, d.uplink_bytes, "{what}");
+            assert_eq!(f.reporters, d.reporters, "{what}");
+        }
+        let err = run(None).unwrap_err();
+        assert!(
+            matches!(&err, kr_core::CoreError::Transport(m) if m.contains("reply carries")),
+            "{what}: {err:?}"
+        );
+    }
+}
+
 #[test]
 fn strict_mode_still_aborts_on_any_failure() {
     // Without a quorum the legacy contract holds: the first failure
@@ -414,8 +536,7 @@ fn tcp_round_deadline_times_out_slow_client() {
     // cover classification and recovery bookkeeping only — never
     // bitwise equality, which wall-clock code cannot promise.
     use kr_federated::client::{ShardClient, Step};
-    use kr_federated::protocol::{Join, Msg};
-    use kr_federated::transport::Connection;
+    use kr_federated::protocol::Join;
 
     let clients = make_clients(2, 44);
     let listener = TcpServer::bind_loopback().unwrap();

@@ -21,31 +21,42 @@ fn members() -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
-/// Raw `f64` bit patterns for a `k x m` statistic, not sampled values:
-/// masking operates on bits, so the properties must hold for NaN
-/// payloads and infinities too.
-fn raw_stats(k: usize, m: usize) -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
+/// Raw `f64` bit patterns for `rows x m` sums and `k` counts, not
+/// sampled values: masking operates on bits, so the properties must
+/// hold for NaN payloads and infinities too.
+fn raw_stats(
+    (rows, k, m): (usize, usize, usize),
+) -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
     (
-        proptest::collection::vec(0u64..u64::MAX, k * m),
+        proptest::collection::vec(0u64..u64::MAX, rows * m),
         proptest::collection::vec(0u64..1u64 << 48, k),
         0u64..u64::MAX,
     )
 }
 
-fn build_stats(round: u32, k: usize, m: usize, raw: (Vec<u64>, Vec<u64>, u64)) -> LocalStats {
+fn build_stats(
+    round: u32,
+    (rows, _, m): (usize, usize, usize),
+    raw: (Vec<u64>, Vec<u64>, u64),
+) -> LocalStats {
     let (bits, counts, inertia_bits) = raw;
     LocalStats {
         round,
         inertia: f64::from_bits(inertia_bits),
         stats: SuffStats {
-            sums: Matrix::from_vec(k, m, bits.into_iter().map(f64::from_bits).collect()).unwrap(),
+            sums: Matrix::from_vec(rows, m, bits.into_iter().map(f64::from_bits).collect())
+                .unwrap(),
             counts,
         },
     }
 }
 
-fn shape() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=4, 1usize..=4)
+/// `(rows, k, m)`: cell layouts (`rows == k`) and marginal ones, where
+/// the sum-row count differs from `k`.
+fn shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    (1usize..=4, 1usize..=4, 1usize..=4).prop_flat_map(|(h1, h2, m)| {
+        prop_oneof![Just((h1 * h2, h1 * h2, m)), Just((h1 + h2, h1 * h2, m))]
+    })
 }
 
 fn assert_stats_bitwise_eq(a: &LocalStats, b: &LocalStats) -> Result<(), TestCaseError> {
@@ -82,9 +93,9 @@ proptest! {
     #[test]
     fn unmask_is_bitwise_exact_per_reporter(
         case in (members(), 0u64..u64::MAX, shape(), 0u32..16, 0usize..8).prop_flat_map(
-            |(members, seed, (k, m), round, idx)| {
-                raw_stats(k, m).prop_map(move |raw| {
-                    (members.clone(), seed, round, idx, build_stats(round, k, m, raw))
+            |(members, seed, layout, round, idx)| {
+                raw_stats(layout).prop_map(move |raw| {
+                    (members.clone(), seed, round, idx, build_stats(round, layout, raw))
                 })
             },
         ),
@@ -103,14 +114,14 @@ proptest! {
 
     #[test]
     fn word_serialization_round_trips_all_bit_patterns(
-        case in (shape(), 0u32..16).prop_flat_map(|((k, m), round)| {
-            raw_stats(k, m).prop_map(move |raw| (k, m, round, build_stats(round, k, m, raw)))
+        case in (shape(), 0u32..16).prop_flat_map(|(layout, round)| {
+            raw_stats(layout).prop_map(move |raw| (layout, round, build_stats(round, layout, raw)))
         }),
     ) {
-        let (k, m, round, stats) = case;
+        let ((rows, k, m), round, stats) = case;
         let words = mask::stats_to_words(&stats);
-        prop_assert_eq!(words.len(), MaskedStats::word_count(k, m));
-        let back = mask::words_to_stats(round, k, m, &words).unwrap();
+        prop_assert_eq!(words.len(), MaskedStats::word_count(rows, k, m));
+        let back = mask::words_to_stats(round, (rows, k, m), &words).unwrap();
         prop_assert_eq!(mask::stats_to_words(&back), words);
         assert_stats_bitwise_eq(&back, &stats)?;
     }
@@ -137,10 +148,10 @@ proptest! {
     #[test]
     fn survivor_sums_match_plaintext_merge_bitwise(
         case in (members(), 0u64..u64::MAX, shape(), 0u32..u32::MAX).prop_flat_map(
-            |(members, seed, (k, m), survivor_bits)| {
+            |(members, seed, layout, survivor_bits)| {
                 let n = members.len();
-                proptest::collection::vec(raw_stats(k, m), n).prop_map(move |raws| {
-                    (members.clone(), seed, k, m, survivor_bits, raws)
+                proptest::collection::vec(raw_stats(layout), n).prop_map(move |raws| {
+                    (members.clone(), seed, layout, survivor_bits, raws)
                 })
             },
         ),
@@ -149,17 +160,19 @@ proptest! {
         // then float-merge in ascending order. Because unmasking is
         // exact (not just sum-preserving), any survivor subset merges to
         // the same bits the plaintext run produces.
-        let (members, seed, k, m, survivor_bits, raws) = case;
+        let (members, seed, layout, survivor_bits, raws) = case;
+        let (rows, k, m) = layout;
         let spec = MaskSpec { seed, members: members.clone() };
-        let mut plain = SuffStats::zeros(k, m);
-        let mut recovered = SuffStats::zeros(k, m);
+        let zeros = || SuffStats { sums: Matrix::zeros(rows, m), counts: vec![0; k] };
+        let mut plain = zeros();
+        let mut recovered = zeros();
         for (i, (&id, raw)) in members.iter().zip(raws).enumerate() {
             // Member 0 always survives so the merge is never empty; the
             // rest drop according to the seeded bit pattern.
             if i > 0 && survivor_bits & (1 << (i % 32)) == 0 {
                 continue;
             }
-            let stats = build_stats(3, k, m, raw);
+            let stats = build_stats(3, layout, raw);
             plain.merge(&stats.stats).unwrap();
             let masked = mask::mask_stats(&stats, &spec, id);
             let back = mask::unmask_stats(&masked, &spec, id).unwrap();
@@ -173,11 +186,36 @@ proptest! {
 
     #[test]
     fn wrong_word_count_is_rejected(
-        (k, m) in shape(),
+        (rows, k, m) in shape(),
         delta in prop_oneof![Just(-1isize), Just(1), Just(7)],
     ) {
-        let want = MaskedStats::word_count(k, m);
+        let want = MaskedStats::word_count(rows, k, m);
         let len = (want as isize + delta).max(0) as usize;
-        prop_assert!(mask::words_to_stats(0, k, m, &vec![0u64; len]).is_err());
+        prop_assert!(mask::words_to_stats(0, (rows, k, m), &vec![0u64; len]).is_err());
+    }
+
+    #[test]
+    fn disagreeing_or_overflowing_headers_are_typed_errors(
+        (rows, k, m) in shape(),
+        huge in prop_oneof![Just(u32::MAX), Just(1u32 << 31), Just(1u32 << 16)],
+        field in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        // A masked header whose rows, counts or width disagree with its
+        // words — or multiply past usize — unmasks to a transport error,
+        // never a panic or an allocation of the header's size.
+        let spec = MaskSpec { seed, members: vec![0, 1] };
+        let stats = build_stats(0, (rows, k, m), (vec![0; rows * m], vec![1; k], 0));
+        let mut masked = mask::mask_stats(&stats, &spec, 0);
+        prop_assert_eq!((masked.rows, masked.k, masked.m), (rows as u32, k as u32, m as u32));
+        match field {
+            0 => masked.rows = huge,
+            1 => masked.k = huge,
+            _ => masked.m = huge,
+        }
+        prop_assert!(matches!(
+            mask::unmask_stats(&masked, &spec, 0),
+            Err(kr_core::CoreError::Transport(_))
+        ));
     }
 }

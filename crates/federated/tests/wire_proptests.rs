@@ -82,14 +82,18 @@ fn msg() -> impl Strategy<Value = Msg> {
                 })
             }
         ),
-        (0u32..64, small_matrix(), -1e9..1e9f64).prop_map(|(round, sums, inertia)| {
-            let counts = (0..sums.nrows()).map(|i| i as u64 * 7).collect();
-            Msg::LocalStats(LocalStats {
-                round,
-                inertia,
-                stats: SuffStats { sums, counts },
-            })
-        }),
+        // Uploads whose sum-row count differs from k (Sum KR-FkM
+        // marginals) as well as cell-form ones.
+        (0u32..64, small_matrix(), 0usize..=6, -1e9..1e9f64).prop_map(
+            |(round, sums, k, inertia)| {
+                let counts = (0..k).map(|i| i as u64 * 7).collect();
+                Msg::LocalStats(LocalStats {
+                    round,
+                    inertia,
+                    stats: SuffStats { sums, counts },
+                })
+            }
+        ),
         (0u32..64, proptest::bool::ANY).prop_map(|(round, done)| {
             Msg::RoundAck(RoundAck {
                 round,
@@ -112,11 +116,18 @@ fn msg() -> impl Strategy<Value = Msg> {
                 })
             }
         ),
-        // Masked upload: (k·m + k + 1) wrapped words.
-        (0u32..64, 0u32..=4, 0u32..=4).prop_flat_map(|(round, k, m)| {
-            let words = MaskedStats::word_count(k as usize, m as usize);
-            proptest::collection::vec(0u64..u64::MAX, words)
-                .prop_map(move |words| Msg::MaskedStats(MaskedStats { round, k, m, words }))
+        // Masked upload: (rows·m + k + 1) wrapped words.
+        (0u32..64, 0u32..=4, 0u32..=4, 0u32..=4).prop_flat_map(|(round, rows, k, m)| {
+            let words = MaskedStats::word_count(rows as usize, k as usize, m as usize);
+            proptest::collection::vec(0u64..u64::MAX, words).prop_map(move |words| {
+                Msg::MaskedStats(MaskedStats {
+                    round,
+                    rows,
+                    k,
+                    m,
+                    words,
+                })
+            })
         }),
     ]
 }
@@ -191,6 +202,22 @@ proptest! {
         });
         let (_, info) = wire::encode(&msg);
         prop_assert_eq!(info.stat_bytes, (k * m + k) * kr_federated::BYTES_PER_F64);
+        // Sum KR-FkM uplink over the k x (k+1) grid: (h1+h2)·m marginal
+        // sums + h1·h2 counts.
+        let msg = Msg::LocalStats(LocalStats {
+            round: 0,
+            inertia: 0.0,
+            stats: SuffStats {
+                sums: Matrix::zeros(k + k + 1, m),
+                counts: vec![0; k * (k + 1)],
+            },
+        });
+        let (_, info) = wire::encode(&msg);
+        prop_assert_eq!(
+            info.stat_bytes,
+            ((k + k + 1) * m + k * (k + 1)) * kr_federated::BYTES_PER_F64
+        );
+        prop_assert_eq!(info.stat_bytes, wire::stat_bytes(&msg));
         // A pipelined ack accounts exactly like the standalone
         // broadcast it carries (round-trip halving changes frames, not
         // the Figure 10 accounting).
@@ -210,24 +237,34 @@ proptest! {
     }
 
     #[test]
-    fn masked_accounting_matches_plaintext(k in 1usize..=6, m in 1usize..=6, members in proptest::collection::vec(0u32..64, 1..6)) {
+    fn masked_accounting_matches_plaintext(
+        k in 1usize..=6,
+        m in 1usize..=6,
+        marginal in proptest::bool::ANY,
+        members in proptest::collection::vec(0u32..64, 1..6),
+    ) {
         // A masked upload accounts exactly like the plaintext one —
-        // k·m sums + k counts, 8 bytes each; the wrapped inertia word
-        // and the word framing are overhead, like plaintext framing.
+        // rows·m sums + k counts, 8 bytes each, in cell form (rows = k)
+        // and in marginal form; the wrapped inertia word and the word
+        // framing are overhead, like plaintext framing.
+        let rows = if marginal { k + 1 } else { k };
         let stats = Msg::LocalStats(LocalStats {
             round: 0,
             inertia: 0.0,
-            stats: SuffStats::zeros(k, m),
+            stats: SuffStats { sums: Matrix::zeros(rows, m), counts: vec![0; k] },
         });
         let masked = Msg::MaskedStats(MaskedStats {
             round: 0,
+            rows: rows as u32,
             k: k as u32,
             m: m as u32,
-            words: vec![0; MaskedStats::word_count(k, m)],
+            words: vec![0; MaskedStats::word_count(rows, k, m)],
         });
         let (_, plain_info) = wire::encode(&stats);
         let (_, masked_info) = wire::encode(&masked);
         prop_assert_eq!(masked_info.stat_bytes, plain_info.stat_bytes);
+        prop_assert_eq!(masked_info.stat_bytes, (rows * m + k) * kr_federated::BYTES_PER_F64);
+        prop_assert_eq!(masked_info.stat_bytes, wire::stat_bytes(&masked));
         // Mask parameters ride in the broadcast as framing overhead:
         // the stat bytes of a masked broadcast equal the unmasked ones.
         let bare = Broadcast {
@@ -245,6 +282,61 @@ proptest! {
         let (masked_frame, masked_bc_info) = wire::encode(&Msg::Broadcast(masked_bc));
         prop_assert_eq!(masked_bc_info.stat_bytes, bare_info.stat_bytes);
         prop_assert!(masked_frame.len() > bare_info.frame_bytes, "spec bytes are overhead");
+    }
+}
+
+/// A frame of `tag` followed by `fields`, with a correct length prefix.
+fn frame_of(tag: u8, fields: &[u32]) -> Vec<u8> {
+    let mut payload = vec![tag];
+    for f in fields {
+        payload.extend_from_slice(&f.to_le_bytes());
+    }
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend(payload);
+    frame
+}
+
+proptest! {
+    #[test]
+    fn upload_headers_that_overflow_or_disagree_are_typed_errors(
+        rows in prop_oneof![Just(u32::MAX), Just(1u32 << 31), 0u32..8],
+        cols in prop_oneof![Just(u32::MAX), Just(1u32 << 31), 0u32..8],
+        k in prop_oneof![Just(u32::MAX), Just(1u32 << 31), 0u32..8],
+        words in 0usize..16,
+    ) {
+        // Upload headers straight off the wire — plaintext and masked,
+        // in cell form (rows == k) and in marginal form (rows and k both
+        // in the header) — followed by too few words. Whatever the header
+        // claims, decoding returns a typed error — a shape that
+        // multiplies past the frame limit, or a truncated payload — and
+        // never panics or allocates the header's size.
+        const LOCAL_STATS: u8 = 11;
+        const MASKED_STATS: u8 = 13;
+        const MARGINAL_STATS: u8 = 14;
+        const MASKED_MARGINAL_STATS: u8 = 15;
+        let (r, c, n) = (rows as usize, cols as usize, k as usize);
+        let cases = [
+            (frame_of(LOCAL_STATS, &[0, 0, 0, rows, cols]), r * c + r),
+            (frame_of(MARGINAL_STATS, &[0, 0, 0, rows, cols, k]), r * c + n),
+            (frame_of(MASKED_STATS, &[0, k, cols]), MaskedStats::word_count(n, n, c)),
+            (
+                frame_of(MASKED_MARGINAL_STATS, &[0, rows, k, cols]),
+                MaskedStats::word_count(r, n, c),
+            ),
+        ];
+        for (mut frame, need) in cases {
+            frame.extend(std::iter::repeat_n(0u8, 8 * words));
+            let len = (frame.len() - LEN_PREFIX) as u32;
+            frame[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+            let got = wire::decode_frame(&frame);
+            if need > words {
+                prop_assert!(
+                    matches!(got, Err(WireError::BadValue(_)) | Err(WireError::Truncated)),
+                    "{:?}",
+                    got
+                );
+            }
+        }
     }
 }
 

@@ -30,6 +30,16 @@
 //! Memory: `O((Σ h_l + ∏ h_l) · m)` — protocentroids plus the
 //! sufficient-statistics block — independent of the stream length.
 //!
+//! The accumulator stays in cell form (`k x m` sums), although under Sum
+//! the update reads only the `(Σ h_l) x m` marginals
+//! ([`kr_core::kr_kmeans::marginal_sums`]) that a federated client
+//! uploads instead. The marginals shrink what crosses a wire; nothing of
+//! this accumulator does, so the smaller form would save only its
+//! `(∏ h_l − Σ h_l)·m` words. The cell form also serves the Product
+//! aggregator, and the end-to-end benchmark replays this stream through
+//! the public [`SuffStats`] folds and [`prop61_update_from_stats`] and
+//! checks the replay against [`StreamSummarizer::finalize`] bitwise.
+//!
 //! ```
 //! use kr_stream::{MiniBatchKrKMeans, StreamSummarizer};
 //! use kr_linalg::Matrix;
